@@ -20,19 +20,11 @@ from . import acceptance
 from .compose import compose_zN, verify_flow_commutation
 from .dynamics import SimulationConfig, integrate, trajectory_to_csv, trajectory_to_jsonl
 from .errors import QuadSzegoError
-from .hardy import HardyCoefficients, conserved
+from .hardy import HardyCoefficients
 from .operators import spectral_report, verify_lax
 from .steady import SteadyV3Params, build_steady, steadiness_measure, suggested_trunc
 from .v3 import V3State, embed, instability_experiment
-from .waves import TravelingWaveSpec, build_profile, residual_traveling
-
-_TW_GRID = [
-    (family, lam, p, n)
-    for family in ("I", "II")
-    for lam in (0.5, 1.0)
-    for p in (0.2, 0.5, 0.8)
-    for n in (1, 2, 3)
-]
+from .waves import TravelingWaveSpec, build_profile
 
 
 def _write_artifact(path: str | None, payload: dict) -> None:
@@ -117,14 +109,6 @@ def _cmd_simulate(args) -> int:
 # ----------------------------------------------------------------- verify-tw
 
 
-def _tw_residual(job) -> dict:
-    family, lam, p, n = job
-    spec = TravelingWaveSpec(family, lam, p, n)
-    trunc = 1024 if abs(p) >= 0.8 else 256
-    res = residual_traveling(build_profile(spec, trunc), spec.omega, spec.c)
-    return {"family": family, "lambda": lam, "p": p, "N": n, "trunc": trunc, "residual": res}
-
-
 def _cmd_verify_tw(args) -> int:
     config = _load_config(args)
     tol = float(_resolve(args, config, "tol", 1e-9))
@@ -132,15 +116,15 @@ def _cmd_verify_tw(args) -> int:
         jobs = int(_resolve(args, config, "jobs", 1))
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_tw_residual, _TW_GRID))  # merged in parameter order
+                rows = list(pool.map(acceptance.tw_residual, acceptance.tw_grid()))  # merged in parameter order
         else:
-            rows = [_tw_residual(job) for job in _TW_GRID]
+            rows = [acceptance.tw_residual(job) for job in acceptance.tw_grid()]
     else:
         family = _resolve(args, config, "family", "I")
         lam = complex(_resolve(args, config, "lambda_re", 1.0), _resolve(args, config, "lambda_im", 0.0))
         p = complex(_resolve(args, config, "p_re", 0.5), _resolve(args, config, "p_im", 0.0))
         n = int(_resolve(args, config, "n_comp", 1))
-        rows = [_tw_residual((family, lam, p, n))]
+        rows = [acceptance.tw_residual((family, lam, p, n))]
     worst = max(r["residual"] for r in rows)
     for r in rows:
         print(f"family {r['family']} lambda={r['lambda']} p={r['p']} N={r['N']}: residual {r['residual']:.3e}")
@@ -266,19 +250,7 @@ def _cmd_gn_check(args) -> int:
     config = _load_config(args)
     samples = int(_resolve(args, config, "samples", 10_000))
     seed = int(_resolve(args, config, "seed", 42))
-    rng = np.random.default_rng(seed)
-    violations = 0
-    worst = -np.inf
-    for _ in range(samples):
-        m = int(rng.integers(2, 48))
-        decay = rng.uniform(0.2, 0.98)
-        coeffs = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * decay ** np.arange(m)
-        c = conserved(HardyCoefficients(coeffs))
-        bound = 0.5 * c.Q**2 * (c.Q + c.M)
-        excess = (c.E - bound) / max(bound, 1e-300)
-        worst = max(worst, excess)
-        if excess > 1e-12:
-            violations += 1
+    violations, worst = acceptance.gn_sweep(np.random.default_rng(seed), samples)
     print(f"samples={samples} seed={seed} violations={violations} worst relative excess={worst:.3e}")
     _write_artifact(
         args.out,

@@ -3,9 +3,9 @@
 The truncated equation is a smooth, non-stiff ODE on the first ``trunc``
 Fourier coefficients; classical fixed-step RK4 is used and the conservation
 monitors catch inadequate resolution.  ``J(u)`` is state-dependent and is
-recomputed inside every RK4 stage.  Products are computed at padded length
-and cut back to the state dimension each stage, so the state dimension stays
-fixed and products are alias-free.
+recomputed inside every RK4 stage.  Products come alias-free from
+:func:`~quadszego.hardy.quadratic_products` and are cut back to the state
+dimension each stage, so the state dimension stays fixed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DriftExceeded, NonFiniteState
-from .hardy import ConservedTriple, HardyCoefficients, conserved, conv_full
+from .hardy import ConservedTriple, HardyCoefficients, conserved, quadratic_products
 from .operators import squared_hankel_matrices
 
 __all__ = [
@@ -75,11 +75,9 @@ class TrajectoryRecord:
 def _rhs_array(c: np.ndarray) -> np.ndarray:
     """d/dt of the coefficient vector: the flow reads
     ``i du/dt = 2 J Pi(|u|^2) + conj(J) u^2`` with ``J = (u^2|u)``."""
-    m = len(c)
-    u2 = conv_full(c, c)
-    j = np.vdot(c, u2[:m])
-    abs2 = conv_full(c, np.conj(c[::-1]))[m - 1 : 2 * m - 1]
-    return -1j * (2.0 * j * abs2 + np.conj(j) * u2[:m])
+    u2, abs2 = quadratic_products(c, len(c))
+    j = np.vdot(c, u2)
+    return -1j * (2.0 * j * abs2 + np.conj(j) * u2)
 
 
 def rhs(u: HardyCoefficients) -> HardyCoefficients:

@@ -32,6 +32,12 @@ class PoleOutsideDisc(QuadSzegoError):
     code = "POLE_OUTSIDE"
 
 
+class ExtendedPrecisionUnavailable(QuadSzegoError):
+    """The computation needs 80-bit floats and numpy has no ``float128`` here."""
+
+    code = "NO_FLOAT128"
+
+
 class MeasureMismatch(QuadSzegoError):
     """Arc measures disagree with the requested total measure."""
 

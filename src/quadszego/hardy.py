@@ -10,8 +10,10 @@ Conventions
 -----------
 * inner product ``(u|v) = sum_k u_hat(k) * conj(v_hat(k))`` (normalized
   Lebesgue measure on the circle, Parseval);
-* products are exact full-length convolutions (never modulo wraparound);
-  callers truncate afterwards when they need a fixed state dimension;
+* the flow's products ``u^2`` and ``Pi(|u|^2)`` come from one alias-free FFT
+  kernel, :func:`quadratic_products`, exact up to round-off in ``||u||^2``;
+  :func:`multiply` is an exact full-length convolution; callers truncate
+  afterwards when they need a fixed state dimension;
 * conjugation maps the coefficient at index ``k`` to its conjugate at ``-k``
   on a two-sided scratch buffer; the projector then re-extracts indices
   ``>= 0``.
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.fft
 from scipy.signal import fftconvolve
 
 __all__ = [
@@ -38,15 +41,13 @@ __all__ = [
     "szego_abs2",
     "conserved",
     "conv_full",
+    "quadratic_products",
 ]
 
-# Direct convolution below this output length, FFT above.  Both are exact
-# full-length (alias-free) products; the FFT path only trades a few ulps of
-# round-off for the O(n log n) cost needed by near-boundary poles.
+# conv_full (behind multiply) is direct below this output length, FFT above.
+# Both are exact full-length (alias-free) products; the FFT path only trades
+# a few ulps of round-off for the O(n log n) cost.
 _FFT_CONV_THRESHOLD = 8192
-
-#: default truncation for experiments (escalate to 1024 when |p| >= 0.8)
-DEFAULT_TRUNC = 256
 
 
 def conv_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -55,6 +56,32 @@ def conv_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if n <= _FFT_CONV_THRESHOLD:
         return np.convolve(a, b)
     return fftconvolve(a, b)
+
+
+def quadratic_products(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Modes ``0..n-1`` of ``u^2`` and of ``Pi(|u|^2)``, for ``1 <= n <= 2M-1``.
+
+    ``c`` holds the ``M`` coefficients of ``u``; the results keep its dtype
+    (complex128 or complex256).  One inverse FFT samples ``u`` on ``L >= 2M-1``
+    points, so no kept mode aliases; one forward FFT of ``u^2`` and one real
+    FFT of ``|u|^2`` follow.  Modes of ``Pi(|u|^2)`` at or above ``M`` are 0.
+    """
+    m = len(c)
+    if not 1 <= n <= 2 * m - 1:
+        raise ValueError(f"need 1 <= n <= 2M-1 = {2 * m - 1}, got n={n}")
+    size = scipy.fft.next_fast_len(2 * m - 1)
+    v = scipy.fft.ifft(c, size, norm="forward")  # u at exp(2 pi i j / size)
+    keep = min(n, m)
+    pi_abs2 = np.zeros(n, dtype=v.dtype)
+    # a blowing-up state overflows here; callers check the result for inf/nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = v.real**2
+        sq += v.imag**2
+        pi_abs2[:keep] = scipy.fft.rfft(sq, norm="forward")[:keep]
+        del sq
+        v *= v
+    u2 = scipy.fft.fft(v, norm="forward", overwrite_x=True)[:n]
+    return u2, pi_abs2
 
 
 @dataclass(frozen=True)
@@ -125,8 +152,9 @@ class HardyCoefficients:
         return bool(np.max(np.abs(self.padded(m) - other.padded(m))) <= tol)
 
     def __hash__(self):
-        # strip trailing zeros so padded-equal values hash alike
-        arr = self.coeffs
+        # strip trailing zeros so padded-equal values hash alike; adding +0.0
+        # turns -0.0 into +0.0, which __eq__ already treats as equal
+        arr = self.coeffs + 0.0
         nz = np.nonzero(arr)[0]
         key = arr[: nz[-1] + 1].tobytes() if nz.size else b""
         return hash(key)
@@ -219,12 +247,8 @@ def multiply(u: HardyCoefficients, v: HardyCoefficients, trunc: int | None = Non
     The result has full length ``trunc_u + trunc_v - 1`` (no aliasing); pass
     ``trunc`` to cut back to a fixed state dimension afterwards.
     """
-    prod = conv_full(u.coeffs, v.coeffs)
-    if trunc is not None:
-        prod = prod[:trunc] if trunc <= len(prod) else np.concatenate(
-            [prod, np.zeros(trunc - len(prod), dtype=np.complex128)]
-        )
-    return HardyCoefficients(prod)
+    prod = HardyCoefficients(conv_full(u.coeffs, v.coeffs))
+    return prod if trunc is None else prod.truncated(trunc)
 
 
 def szego_abs2(u: HardyCoefficients, trunc: int | None = None) -> HardyCoefficients:
@@ -233,12 +257,8 @@ def szego_abs2(u: HardyCoefficients, trunc: int | None = None) -> HardyCoefficie
     The two-sided coefficients of ``|u|^2`` at offset ``d`` are
     ``sum_k u_hat(k+d) conj(u_hat(k))``; only ``d >= 0`` is kept.
     """
-    c = u.coeffs
-    two_sided = conv_full(c, np.conj(c[::-1]))  # index j corresponds to d = j-(M-1)
-    nonneg = two_sided[u.trunc - 1 :]
-    if trunc is not None:
-        nonneg = nonneg[:trunc]
-    return HardyCoefficients(nonneg)
+    n = u.trunc if trunc is None else min(trunc, u.trunc)
+    return HardyCoefficients(quadratic_products(u.coeffs, n)[1])
 
 
 def conserved(u: HardyCoefficients) -> ConservedTriple:
@@ -252,6 +272,6 @@ def conserved(u: HardyCoefficients) -> ConservedTriple:
     absq = np.abs(c) ** 2
     q = float(np.sum(absq))
     mom = float(np.sum(np.arange(u.trunc) * absq))
-    u2 = conv_full(c, c)
-    j = complex(np.vdot(c, u2[: u.trunc]))
+    u2, _ = quadratic_products(c, u.trunc)
+    j = complex(np.vdot(c, u2))
     return ConservedTriple(Q=q, M=mom, E=0.5 * abs(j) ** 2, J=j)

@@ -26,8 +26,7 @@ from .hardy import (
     HardyCoefficients,
     conserved,
     inner_product,
-    multiply,
-    szego_abs2,
+    quadratic_products,
 )
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "shifted_hankel",
     "toeplitz",
     "a_u",
-    "apply_hankel",
     "SpectralReport",
     "spectral_report",
     "verify_lax",
@@ -71,11 +69,6 @@ def hankel(u: HardyCoefficients, size: int | None = None) -> np.ndarray:
 def shifted_hankel(u: HardyCoefficients, size: int | None = None) -> np.ndarray:
     """Shifted Hankel matrix ``K[j,k] = u_hat(j+k+1)`` (symbol ``S* u``)."""
     return _symbol_matrix(u, size, offset=1)
-
-
-def apply_hankel(mat: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Apply an antilinear Hankel-type matrix: ``mat @ conj(h)``."""
-    return mat @ np.conj(h)
 
 
 def toeplitz(symbol_two_sided: np.ndarray, size: int) -> np.ndarray:
@@ -260,11 +253,10 @@ def spectral_report(u: HardyCoefficients, tol: float = DEFAULT_RANK_TOL) -> Spec
     )
 
 
-def lax_symbol(u: HardyCoefficients, trunc: int | None = None) -> HardyCoefficients:
+def lax_symbol(u: HardyCoefficients) -> HardyCoefficients:
     """The evolved symbol ``X(u) = 2 Pi(|u|^2) + u^2`` (truncated like ``u``)."""
-    trunc = u.trunc if trunc is None else trunc
-    x = 2.0 * szego_abs2(u, trunc=trunc).padded(trunc) + multiply(u, u, trunc=trunc).padded(trunc)
-    return HardyCoefficients(x)
+    u2, abs2 = quadratic_products(u.coeffs, u.trunc)
+    return HardyCoefficients(2.0 * abs2 + u2)
 
 
 def verify_lax(u: HardyCoefficients, block: int | None = None) -> tuple[float, float]:

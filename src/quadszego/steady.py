@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import rhs
-from .errors import PoleOutsideDisc
-from .hardy import HardyCoefficients, conserved, conv_full, multiply, szego_abs2
+from .errors import ExtendedPrecisionUnavailable, PoleOutsideDisc
+from .hardy import HardyCoefficients, conserved, quadratic_products
 
 __all__ = [
     "SteadyV3Params",
@@ -92,10 +92,10 @@ def suggested_trunc(theta: float, tail: float = 3e-14, cap: int = 6_000_000) -> 
 
     The dominant omitted contribution to J comes from index triples with
     ``k + l >= M`` and is of order ``C^3 M P^{2M} / (1 - P^2)`` (plus a smaller
-    ``2|b| C^2 P^{2M} / (1 - P^2)`` term); solved by doubling search and
-    clamped to ``[512, cap]``.  Within ~2e-4 of the excluded endpoint the cap
-    binds and the measured |J| is dominated by the tail rather than by the
-    family defect.
+    ``2|b| C^2 P^{2M} / (1 - P^2)`` term); solved by a growing search and
+    clamped to ``[512, cap]``.  The 6M cap binds from theta ~ 1.0312, 1.6e-2
+    before the excluded endpoint pi/3; from there on the measured |J| is
+    dominated by the tail rather than by the family defect.
     """
     mean, c, p = family_constants(theta)
     if p == 0.0:
@@ -144,12 +144,15 @@ def steadiness_measure(
     state off the zero-J set by ``~|dJ/dP| * eps``, which exceeds 1e-11 for
     the last few percent of the parameter range.  ``extended=True`` (the
     default once the needed truncation passes 50k modes) therefore evaluates
-    the constants, the coefficients and the convolutions in 80-bit precision;
-    the public state type stays double precision everywhere else.
+    the constants, the coefficients and the products in 80-bit precision;
+    the public state type stays double precision everywhere else.  Without
+    ``np.float128`` it raises :class:`ExtendedPrecisionUnavailable` up front.
     """
     tr = suggested_trunc(params.theta) if trunc is None else trunc
     if extended is None:
         extended = tr > 50_000
+    if extended and not hasattr(np, "float128"):
+        raise ExtendedPrecisionUnavailable(f"theta={params.theta!r} at trunc={tr} needs np.float128, absent here")
     if not extended:
         state = build_steady(params, tr)
         cons = conserved(state)
@@ -164,9 +167,8 @@ def steadiness_measure(
     coeffs = np.zeros(tr, dtype=np.complex256)
     coeffs[0] = front * mean
     coeffs[1:] = front * c * rot * (p * rot) ** np.arange(tr - 1, dtype=np.float128)
-    u2 = conv_full(coeffs, coeffs)[:tr]
+    u2, abs2 = quadratic_products(coeffs, tr)
     j = np.sum(u2 * np.conj(coeffs))
-    abs2 = conv_full(coeffs, np.conj(coeffs[::-1]))[tr - 1 : 2 * tr - 1]
     flow = -1j * (2.0 * j * abs2 + np.conj(j) * u2)
     return SteadinessMeasure(
         abs_j=float(abs(j)),
@@ -186,7 +188,8 @@ def is_steady(u: HardyCoefficients, tol: float = 1e-11) -> bool:
     """
     j = conserved(u).J
     flow = rhs(u)
-    norm_scale = 2.0 * szego_abs2(u).norm() + multiply(u, u).norm()
+    u2, abs2 = quadratic_products(u.coeffs, 2 * u.trunc - 1)
+    norm_scale = 2.0 * np.linalg.norm(abs2) + np.linalg.norm(u2)
     if flow.norm() > abs(j) * norm_scale * 10.0 + 1e-13:
         raise AssertionError("flow-derivative route disagrees with the J route")
     return abs(j) < tol

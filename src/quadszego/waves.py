@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeasureMismatch, TruncationTooSmall
-from .hardy import HardyCoefficients, apply_D, conserved, conv_full, multiply, szego_abs2
+from .hardy import HardyCoefficients, apply_D, quadratic_products
 
 __all__ = [
     "TravelingWaveSpec",
@@ -115,33 +115,25 @@ def build_profile(spec: TravelingWaveSpec, trunc: int) -> HardyCoefficients:
     return HardyCoefficients(out)
 
 
-def _traveling_residual_vector(v0: HardyCoefficients, omega: float, c: float) -> np.ndarray:
-    j0 = conserved(v0).J
-    m = v0.trunc
-    full = 2 * m - 1
-    res = np.zeros(full, dtype=np.complex128)
-    res[:m] = omega * v0.coeffs + c * apply_D(v0).coeffs
-    res -= 2.0 * j0 * szego_abs2(v0).padded(full)
-    res -= np.conj(j0) * conv_full(v0.coeffs, v0.coeffs)
-    return res
-
-
 def residual_traveling(v0: HardyCoefficients, omega: float, c: float) -> float:
     """L2 residual of the traveling-wave equation for initial data ``v0``:
     ``omega v0 + c D v0 - 2 J0 Pi(|v0|^2) - conj(J0) v0^2`` with ``J0 = J(v0)``,
     evaluated at full padded length."""
-    return float(np.linalg.norm(_traveling_residual_vector(v0, omega, c)))
+    m = v0.trunc
+    u2, abs2 = quadratic_products(v0.coeffs, 2 * m - 1)
+    j0 = np.vdot(v0.coeffs, u2[:m])
+    res = -(2.0 * j0 * abs2 + np.conj(j0) * u2)
+    res[:m] += omega * v0.coeffs + c * apply_D(v0).coeffs
+    return float(np.linalg.norm(res))
 
 
 def residual_profile(u: HardyCoefficients, varpi: float) -> float:
     """L2 residual of the normalized profile equation
     ``varpi u + D u = 2 Pi(|u|^2) + u^2``."""
     m = u.trunc
-    full = 2 * m - 1
-    res = np.zeros(full, dtype=np.complex128)
-    res[:m] = varpi * u.coeffs + apply_D(u).coeffs
-    res -= 2.0 * szego_abs2(u).padded(full)
-    res -= conv_full(u.coeffs, u.coeffs)
+    u2, abs2 = quadratic_products(u.coeffs, 2 * m - 1)
+    res = -(2.0 * abs2 + u2)
+    res[:m] += varpi * u.coeffs + apply_D(u).coeffs
     return float(np.linalg.norm(res))
 
 
@@ -190,7 +182,7 @@ def verify_standing(u: HardyCoefficients, modes_checked: int) -> float:
     """
     if modes_checked > u.trunc / 4:
         raise ValueError("modes_checked must not exceed trunc/4")
-    lhs = u.coeffs[:modes_checked]
-    rhs = 2.0 * szego_abs2(u, trunc=modes_checked).padded(modes_checked)
-    rhs += multiply(u, u, trunc=modes_checked).padded(modes_checked)
-    return float(np.max(np.abs(lhs - rhs))) if modes_checked else 0.0
+    if not modes_checked:
+        return 0.0
+    u2, abs2 = quadratic_products(u.coeffs, modes_checked)
+    return float(np.max(np.abs(u.coeffs[:modes_checked] - 2.0 * abs2 - u2)))

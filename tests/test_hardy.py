@@ -12,6 +12,7 @@ from quadszego.hardy import (
     coshift,
     inner_product,
     multiply,
+    quadratic_products,
     shift,
     sobolev_norm,
     szego_abs2,
@@ -187,6 +188,59 @@ def test_multiply_full_length_no_aliasing():
     assert out.trunc == 5  # 3 + 3 - 1
 
 
+def _direct_quadratic_products(c, n):
+    """Reference: ``u^2`` and ``Pi(|u|^2)`` by direct convolution, n modes."""
+    m = len(c)
+    abs2 = np.zeros(n, dtype=c.dtype)
+    keep = min(n, m)
+    abs2[:keep] = np.convolve(c, np.conj(c[::-1]))[m - 1 : m - 1 + keep]
+    return np.convolve(c, c)[:n], abs2
+
+
+@pytest.mark.parametrize("m", [2, 3, 257, 512, 1000])
+def test_quadratic_products_match_direct_convolution(m):
+    c = random_state(np.random.default_rng(m), m=m).coeffs
+    scale = np.vdot(c, c).real
+    for n in (m, 2 * m - 1):
+        u2, abs2 = quadratic_products(c, n)
+        ref_u2, ref_abs2 = _direct_quadratic_products(c, n)
+        assert u2.dtype == abs2.dtype == np.complex128
+        assert u2.shape == abs2.shape == (n,)
+        assert np.max(np.abs(u2 - ref_u2)) <= 1e-13 * scale
+        assert np.max(np.abs(abs2 - ref_abs2)) <= 1e-13 * scale
+        assert not np.any(abs2[m:])  # Pi(|u|^2) has no modes at or above M
+
+
+@pytest.mark.skipif(not hasattr(np, "float128"), reason="numpy has no float128 here")
+def test_quadratic_products_keep_extended_precision():
+    c = random_state(np.random.default_rng(7), m=300, decay=0.97).coeffs.astype(np.complex256)
+    scale = np.vdot(c, c).real
+    u2, abs2 = quadratic_products(c, 599)
+    ref_u2, ref_abs2 = _direct_quadratic_products(c, 599)
+    assert u2.dtype == abs2.dtype == np.complex256
+    # well below double round-off: the 80-bit path really ran in 80 bits
+    assert np.max(np.abs(u2 - ref_u2)) <= 1e-17 * scale
+    assert np.max(np.abs(abs2 - ref_abs2)) <= 1e-17 * scale
+
+
+def test_quadratic_products_tail_heavy_datum():
+    # |p| = 0.5 at trunc 512: the direct product runs deep into subnormals
+    c = geometric(1.0, 0.5, 512).coeffs
+    scale = np.vdot(c, c).real
+    u2, abs2 = quadratic_products(c, 1023)
+    ref_u2, ref_abs2 = _direct_quadratic_products(c, 1023)
+    assert np.all(np.isfinite(u2)) and np.all(np.isfinite(abs2))
+    assert np.max(np.abs(u2 - ref_u2)) <= 1e-13 * scale
+    assert np.max(np.abs(abs2 - ref_abs2)) <= 1e-13 * scale
+
+
+def test_quadratic_products_rejects_aliased_length():
+    c = np.ones(4, dtype=complex)
+    for n in (0, 8):
+        with pytest.raises(ValueError):
+            quadratic_products(c, n)
+
+
 def test_szego_abs2_ground_state_mass():
     u = geometric(1.0, 0.5, 64)
     # coefficient 0 of Pi(|u|^2) is Q = 1/(1-1/4); oracle: quadrature
@@ -281,6 +335,19 @@ def test_e_is_half_j_squared():
 def test_equality_after_zero_padding():
     assert HardyCoefficients([1.0, 2.0]) == HardyCoefficients([1.0, 2.0, 0.0, 0.0])
     assert HardyCoefficients([1.0, 2.0]) != HardyCoefficients([1.0, 2.0, 3.0])
+
+
+def test_signed_zeros_hash_alike():
+    # equal values must hash alike; -0.0 == 0.0 in every component
+    pairs = [
+        (HardyCoefficients([0.0, 1.0]), HardyCoefficients([-0.0, 1.0])),
+        (HardyCoefficients([1.0, 0.0]), HardyCoefficients([1.0, complex(-0.0, -0.0)])),
+        (HardyCoefficients([1j]), HardyCoefficients([complex(-0.0, 1.0)])),
+    ]
+    for u, v in pairs:
+        assert u == v
+        assert hash(u) == hash(v)
+        assert len({u, v}) == 1
 
 
 def test_isclose_per_mode_tolerance():

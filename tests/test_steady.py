@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quadszego.dynamics import rhs
+from quadszego.errors import ExtendedPrecisionUnavailable, QuadSzegoError
 from quadszego.hardy import HardyCoefficients, conserved
 from quadszego.steady import (
     SteadyV3Params,
@@ -80,11 +81,27 @@ def test_theta_grid_subset():
 
 
 def test_suggested_trunc_monotone_and_capped():
-    ts = [0.1, 0.8, 1.0, 1.02]
+    ts = [0.1, 0.8, 1.0, 1.02, 1.031, 1.0312]
     truncs = [suggested_trunc(t) for t in ts]
     assert truncs == sorted(truncs)
     assert truncs[0] == 512
     assert all(t <= 6_000_000 for t in truncs)
+    # the cap binds from theta ~ 1.0312, 1.6e-2 before pi/3
+    assert truncs[-2] == 5_414_876
+    assert truncs[-1] == 6_000_000
+
+
+def test_extended_precision_missing_fails_loudly(monkeypatch):
+    monkeypatch.delattr(np, "float128", raising=False)
+    params = SteadyV3Params(scale=1.0, a=0.0, b_angle=0.0, theta=1.0)
+    with pytest.raises(ExtendedPrecisionUnavailable, match="float128") as info:
+        steadiness_measure(params, trunc=64, extended=True)
+    assert isinstance(info.value, QuadSzegoError)
+    # the default escalation to 80 bits (theta=1.0 needs > 50k modes) fails alike
+    with pytest.raises(ExtendedPrecisionUnavailable):
+        steadiness_measure(params)
+    # the double-precision branch does not need float128
+    assert not steadiness_measure(params, trunc=64, extended=False).extended
 
 
 def test_is_steady_rejects_ground_state():
