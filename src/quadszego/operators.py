@@ -11,7 +11,10 @@ matrix identities:
     ``K_X = A K + K A^T``          (antilinear K, X = 2 Pi(|u|^2) + u^2)
     ``H_X = A H + H A^T - u u^T``
 
-because ``conj(A) = A^T`` for Hermitian ``A``.
+because ``conj(A) = A^T`` for Hermitian ``A``.  Hankel matrices are
+complex-symmetric, so ``conj(H) = H^H`` and the spectrum of ``H_u^2 = H H^H``
+is the squared singular values of ``H``, its eigenvectors the left singular
+vectors.
 """
 
 from __future__ import annotations
@@ -149,19 +152,12 @@ class SpectralReport:
         }
 
 
-def _hermitize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
-
-
-def squared_hankel_matrices(u: HardyCoefficients, size: int | None = None):
-    """The linear PSD matrices ``H_u^2 = H conj(H)`` and ``K_u^2 = K conj(K)``."""
-    h = hankel(u, size)
-    k = shifted_hankel(u, size)
-    return _hermitize(h @ np.conj(h)), _hermitize(k @ np.conj(k))
-
-
 def spectral_report(u: HardyCoefficients, tol: float = DEFAULT_RANK_TOL) -> SpectralReport:
-    """Eigen-decompose ``H_u^2`` and ``K_u^2`` and classify shared eigenvalues.
+    """Spectra of ``H_u^2`` and ``K_u^2`` with their shared eigenvalues classified.
+
+    The eigenvalues are the squared singular values of the Hankel matrices,
+    in descending order; the ``K_u^2`` eigenvectors are the left singular
+    vectors of ``K``.
 
     ``tol`` is relative to the largest eigenvalue: numerical rank counts
     eigenvalues above ``tol * max_eig``; levels closer than ``10 * tol *
@@ -170,14 +166,11 @@ def spectral_report(u: HardyCoefficients, tol: float = DEFAULT_RANK_TOL) -> Spec
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    h2, k2 = squared_hankel_matrices(u)
-    h_eigs = np.linalg.eigvalsh(h2)
-    k_eigs, k_vecs = np.linalg.eigh(k2)
-    h_eigs = h_eigs[::-1].copy()
-    k_eigs = k_eigs[::-1].copy()
-    k_vecs = k_vecs[:, ::-1]
+    h_eigs = np.linalg.svdvals(hankel(u)) ** 2
+    k_vecs, k_sing, _ = np.linalg.svd(shifted_hankel(u), full_matrices=False)
+    k_eigs = k_sing**2
 
-    scale = max(h_eigs[0] if len(h_eigs) else 0.0, 0.0)
+    scale = h_eigs[0]
     thresh = tol * scale
     cluster_gap = tol * scale
     warn_gap = 10 * tol * scale
@@ -185,7 +178,7 @@ def spectral_report(u: HardyCoefficients, tol: float = DEFAULT_RANK_TOL) -> Spec
     rank_h = int(np.sum(h_eigs > thresh))
     rank_k = int(np.sum(k_eigs > thresh))
 
-    uvec = u.padded(h2.shape[0])
+    uvec = u.padded(len(h_eigs))
     unorm = np.linalg.norm(uvec)
 
     notes: list[str] = []
@@ -368,13 +361,12 @@ def verify_au_minus_d(
     parallel_residual = float(np.linalg.norm(ku - zeta * shifted) / np.linalg.norm(ku))
 
     # ladder: spectrum of A_u - D restricted to F (eigenspace of K^2 at sigma^2)
-    k2 = _hermitize(kmat @ np.conj(kmat))
-    k_eigs, k_vecs = np.linalg.eigh(k2)
-    scale = float(k_eigs[-1])
-    sel = np.abs(k_eigs - top.sigma2) <= 10 * rank_tol * scale
+    k_vecs, k_sing, _ = np.linalg.svd(kmat, full_matrices=False)
+    k_eigs = k_sing**2
+    sel = np.abs(k_eigs - top.sigma2) <= 10 * rank_tol * k_eigs[0]
     basis = k_vecs[:, sel]
-    small = _hermitize(basis.conj().T @ aud @ basis)
-    ladder = np.linalg.eigvalsh(small)
+    # Hermitian up to round-off; eigvalsh reads its lower triangle
+    ladder = np.linalg.eigvalsh(basis.conj().T @ aud @ basis)
     expected = 0.5 * (varpi + 2 - n_sigma) + np.arange(n_sigma)
     ladder_residual = float(np.max(np.abs(np.sort(ladder) - expected))) if len(ladder) == n_sigma else np.inf
 

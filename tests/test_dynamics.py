@@ -89,6 +89,11 @@ def test_rank_conservation_v2_and_v3():
     traj = integrate(v3, cfg)
     assert rank_conservation_check(traj, 3)
     assert not rank_conservation_check(traj, 2)  # wrong class must be detected
+    # criterion 5's V(4) datum; the evolved tail is FFT round-off (~1e-18)
+    v4 = HardyCoefficients(2.0 * 0.4 ** np.arange(256) - 0.2 ** np.arange(256))
+    traj = integrate(v4, SimulationConfig(dt=1e-3, t_final=0.5, trunc=256, monitor_stride=125))
+    assert rank_conservation_check(traj, 4)
+    assert not rank_conservation_check(traj, 5)
 
 
 def test_rank_conservation_zero_state():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quadszego.dynamics import SimulationConfig, integrate
 from quadszego.errors import NotEigenvector, PoleCollision
 from quadszego.hardy import HardyCoefficients, conserved, inner_product
 from quadszego.operators import (
@@ -10,7 +11,6 @@ from quadszego.operators import (
     hankel,
     shifted_hankel,
     spectral_report,
-    squared_hankel_matrices,
     toeplitz,
     verify_au_minus_d,
     verify_lax,
@@ -93,6 +93,13 @@ def test_a_u_hermitian_by_construction():
 # ---------------------------------------------------------------- squared operators
 
 
+def squared_hankel_matrices(u):
+    """Reference route: the explicit products ``H conj(H)`` and ``K conj(K)``."""
+    h = hankel(u)
+    k = shifted_hankel(u)
+    return h @ np.conj(h), k @ np.conj(k)
+
+
 def test_h2_equals_k2_plus_rank_one():
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -110,6 +117,48 @@ def test_h2_of_single_mode():
     rep = spectral_report(HardyCoefficients([0.0, 1.0, 0.0]))
     assert rep.h2_eigs[0] == pytest.approx(1.0)
     assert rep.rank_H == 2 and rep.rank_K == 1
+
+
+def evolved_two_pole_state():
+    """V(4) datum after 200 RK4 steps at trunc 256: its tail is FFT round-off."""
+    u0 = HardyCoefficients(2.0 * 0.4 ** np.arange(256) - 0.2 ** np.arange(256))
+    cfg = SimulationConfig(dt=1e-3, t_final=0.2, trunc=256, monitor_stride=200)
+    return integrate(u0, cfg).states[-1]
+
+
+@pytest.mark.parametrize(
+    "make_state",
+    [
+        lambda: random_state(np.random.default_rng(7), m=16),
+        lambda: random_state(np.random.default_rng(8), m=24),
+        evolved_two_pole_state,
+    ],
+    ids=["random16", "random24", "evolved_v4"],
+)
+def test_spectra_match_squared_matrix_eigenvalues(make_state):
+    u = make_state()
+    tol = 1e-10
+    h2, k2 = squared_hankel_matrices(u)
+    h_ref = np.linalg.eigvalsh(h2)[::-1]
+    k_ref = np.linalg.eigvalsh(k2)[::-1]
+    rep = spectral_report(u, tol=tol)
+    assert np.max(np.abs(rep.h2_eigs - h_ref)) <= 1e-14 * h_ref[0]
+    assert np.max(np.abs(rep.k2_eigs - k_ref)) <= 1e-14 * h_ref[0]
+    assert rep.rank_H == int(np.sum(h_ref > tol * h_ref[0]))
+    assert rep.rank_K == int(np.sum(k_ref > tol * h_ref[0]))
+
+
+def test_spectra_descending_and_nonnegative():
+    # the squared-matrix route gave -3.0e-17 (H^2) and -1.2e-17 (K^2) here
+    u = HardyCoefficients(0.5 ** np.arange(64))
+    rep = spectral_report(u)
+    for eigs in (rep.h2_eigs, rep.k2_eigs):
+        assert eigs.min() >= 0
+        assert np.all(np.diff(eigs) <= 0)
+    cfg = SimulationConfig(dt=1e-3, t_final=0.01, trunc=64, monitor_stride=5, n_spectrum=64)
+    spectra = integrate(u, cfg).k2_spectra
+    assert spectra.min() >= 0
+    assert np.all(np.diff(spectra, axis=1) <= 0)
 
 
 # ---------------------------------------------------------------- ranks & dominance
