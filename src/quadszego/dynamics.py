@@ -63,7 +63,7 @@ class TrajectoryRecord:
     times: np.ndarray
     states: tuple[HardyCoefficients, ...]
     invariants: tuple[ConservedTriple, ...]
-    k2_spectra: np.ndarray  # (n_snapshots, n_spectrum), descending rows
+    k2_spectra: np.ndarray  # (n_snapshots, n_spectrum), descending nonnegative rows
     drift: dict  # max relative deviation of Q, M, E from t=0
 
     def __post_init__(self):
