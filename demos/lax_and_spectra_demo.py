@@ -23,7 +23,7 @@ for m in (128, 256, 512):
 print("\nrank structure by class:")
 cases = {
     "ground state 1/(1-z/2)": 0.5 ** np.arange(64),
-    "mean + pole (3-parameter class)": np.concatenate([[1.0], 0.5 ** np.arange(1, 64)]),
+    "mean + pole (3-parameter class)": np.concatenate([[1.0], 0.5 ** np.arange(63)]),
 }
 for name, coeffs in cases.items():
     rep = spectral_report(HardyCoefficients(coeffs))

@@ -4,9 +4,12 @@ Equilibria are exactly the zero-J states.  Inside the three-parameter class
 they form the family swept by a scale, two angles, and theta in [0, pi/3);
 each member must satisfy |J| ~ 0 and a vanishing flow derivative.  As theta
 approaches pi/3 the pole modulus P(theta) tends to 1 and the needed
-truncation grows like 1/(1-P); the verifier escalates precision there
-because rounding P to double already moves the state off the equilibrium
-set by more than the target tolerance.
+truncation grows like 1/(1-P); the verifier takes the family constants and
+the coefficients from 80-bit arithmetic there, because rounding P to double
+already moves the state off the equilibrium set by more than the target
+tolerance.  The products that give |J| and the flow stay double precision:
+rounding each finished coefficient is an unstructured error that moves J by
+round-off only.
 """
 
 import numpy as np

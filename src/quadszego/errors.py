@@ -67,3 +67,9 @@ class DegenerateState(QuadSzegoError):
     """A reduced state approached the boundary of its admissible set."""
 
     code = "DEGENERATE"
+
+
+class TrajectoryTooShort(QuadSzegoError):
+    """A trajectory has fewer samples than a finite-difference stencil needs."""
+
+    code = "TRAJ_TOO_SHORT"

@@ -164,6 +164,12 @@ def spectral_report(u: HardyCoefficients, tol: float = DEFAULT_RANK_TOL) -> Spec
     max_eig`` set the ``unresolved`` flag (clustered spectrum, labels
     unreliable).
     """
+    return _spectral_report(u, tol)[0]
+
+
+def _spectral_report(u: HardyCoefficients, tol: float) -> tuple[SpectralReport, np.ndarray]:
+    """:func:`spectral_report` plus the ``K_u^2`` eigenvectors (columns), in
+    the order of ``k2_eigs``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     h_eigs = np.linalg.svdvals(hankel(u)) ** 2
@@ -234,7 +240,7 @@ def spectral_report(u: HardyCoefficients, tol: float = DEFAULT_RANK_TOL) -> Spec
     kernel_part = uvec - pos_basis @ (pos_basis.conj().T @ uvec)
     projections[0.0] = HardyCoefficients(kernel_part)
 
-    return SpectralReport(
+    report = SpectralReport(
         h2_eigs=h_eigs,
         k2_eigs=k_eigs,
         rank_H=rank_h,
@@ -244,6 +250,7 @@ def spectral_report(u: HardyCoefficients, tol: float = DEFAULT_RANK_TOL) -> Spec
         unresolved=unresolved,
         notes=tuple(notes),
     )
+    return report, k_vecs
 
 
 def lax_symbol(u: HardyCoefficients) -> HardyCoefficients:
@@ -319,7 +326,7 @@ def verify_au_minus_d(
     For constant ``u`` the report degenerates to the empty ladder.
     """
     m = u.trunc
-    report = spectral_report(u, tol=rank_tol)
+    report, k_vecs = _spectral_report(u, rank_tol)
     if report.rank_K == 0:
         return AuDReport(
             n_sigma=0,
@@ -361,8 +368,7 @@ def verify_au_minus_d(
     parallel_residual = float(np.linalg.norm(ku - zeta * shifted) / np.linalg.norm(ku))
 
     # ladder: spectrum of A_u - D restricted to F (eigenspace of K^2 at sigma^2)
-    k_vecs, k_sing, _ = np.linalg.svd(kmat, full_matrices=False)
-    k_eigs = k_sing**2
+    k_eigs = report.k2_eigs
     sel = np.abs(k_eigs - top.sigma2) <= 10 * rank_tol * k_eigs[0]
     basis = k_vecs[:, sel]
     # Hermitian up to round-off; eigvalsh reads its lower triangle

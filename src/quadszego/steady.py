@@ -20,6 +20,12 @@ truncation must grow like ``1/(1-P)``, see :func:`suggested_trunc`.
 
 The degenerate case ``u = e^{ia} z`` is the family at ``theta = 0``, not a
 separate branch.
+
+Near the endpoint the zero-J condition is ill-conditioned in the constants,
+so :func:`steadiness_measure` takes the constants and the coefficients from
+80-bit arithmetic there.  The quadratic products stay double precision: a
+coefficient rounded to double after the fact carries an unstructured error
+of size ``eps ||u||``, which moves ``J`` by round-off only.
 """
 
 from __future__ import annotations
@@ -132,6 +138,26 @@ def _family_constants_ld(theta: float):
     return mean, c, p
 
 
+def _family_coefficients_ld(params: SteadyV3Params, trunc: int) -> np.ndarray:
+    """The ``trunc`` family coefficients in complex256, from 80-bit constants.
+
+    ``u_hat(k) = front C e^{ib} q^(k-1)`` with ``q = P e^{ib}``: the powers
+    come from one running product of ``q`` (relative error about
+    ``sqrt(k)`` ulps of 80-bit) instead of a transcendental power per element.
+    """
+    mean, c, p = _family_constants_ld(params.theta)
+    if abs(float(p)) >= 1:
+        raise PoleOutsideDisc(f"pole modulus {float(p)!r} at theta={params.theta!r}")
+    front = np.complex256(params.scale) * np.exp(np.complex256(1j * params.a))
+    rot = np.exp(np.complex256(1j * params.b_angle))
+    coeffs = np.empty(trunc, dtype=np.complex256)
+    coeffs[0] = front * mean
+    coeffs[1:] = p * rot
+    coeffs[1:2] = front * c * rot
+    np.cumprod(coeffs[1:], out=coeffs[1:])
+    return coeffs
+
+
 def steadiness_measure(
     params: SteadyV3Params,
     trunc: int | None = None,
@@ -144,38 +170,29 @@ def steadiness_measure(
     state off the zero-J set by ``~|dJ/dP| * eps``, which exceeds 1e-11 for
     the last few percent of the parameter range.  ``extended=True`` (the
     default once the needed truncation passes 50k modes) therefore evaluates
-    the constants, the coefficients and the products in 80-bit precision;
-    the public state type stays double precision everywhere else.  Without
-    ``np.float128`` it raises :class:`ExtendedPrecisionUnavailable` up front.
+    the constants and the coefficients in 80-bit precision and rounds each
+    coefficient once to double.  That rounding is an unstructured error of
+    size ``eps ||u||``, not a move along the family, so ``u^2``, ``Pi(|u|^2)``,
+    ``J`` and the flow are double-precision products, as on the double path.
+    ``J`` is summed pairwise (``np.sum``): at millions of modes a BLAS dot
+    product's round-off alone exceeds the 1e-11 gate on the flow norm.
+    Without ``np.float128`` it raises :class:`ExtendedPrecisionUnavailable`
+    up front.
     """
     tr = suggested_trunc(params.theta) if trunc is None else trunc
     if extended is None:
         extended = tr > 50_000
     if extended and not hasattr(np, "float128"):
         raise ExtendedPrecisionUnavailable(f"theta={params.theta!r} at trunc={tr} needs np.float128, absent here")
-    if not extended:
-        state = build_steady(params, tr)
-        cons = conserved(state)
-        return SteadinessMeasure(
-            abs_j=abs(cons.J), rhs_norm=rhs(state).norm(), trunc=tr, extended=False
-        )
-    mean, c, p = _family_constants_ld(params.theta)
-    if abs(float(p)) >= 1:
-        raise PoleOutsideDisc(f"pole modulus {float(p)!r} at theta={params.theta!r}")
-    front = np.complex256(params.scale) * np.exp(np.complex256(1j * params.a))
-    rot = np.exp(np.complex256(1j * params.b_angle))
-    coeffs = np.zeros(tr, dtype=np.complex256)
-    coeffs[0] = front * mean
-    coeffs[1:] = front * c * rot * (p * rot) ** np.arange(tr - 1, dtype=np.float128)
+    if extended:
+        coeffs = _family_coefficients_ld(params, tr).astype(np.complex128)
+    else:
+        coeffs = build_steady(params, tr).coeffs
     u2, abs2 = quadratic_products(coeffs, tr)
     j = np.sum(u2 * np.conj(coeffs))
-    flow = -1j * (2.0 * j * abs2 + np.conj(j) * u2)
-    return SteadinessMeasure(
-        abs_j=float(abs(j)),
-        rhs_norm=float(np.sqrt(np.sum(np.abs(flow) ** 2))),
-        trunc=tr,
-        extended=True,
-    )
+    # i du/dt = 2 J Pi(|u|^2) + conj(J) u^2; the factor i leaves the norm
+    rhs_norm = float(np.linalg.norm(2.0 * j * abs2 + np.conj(j) * u2))
+    return SteadinessMeasure(abs_j=float(abs(j)), rhs_norm=rhs_norm, trunc=tr, extended=extended)
 
 
 def is_steady(u: HardyCoefficients, tol: float = 1e-11) -> bool:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateState
+from .errors import DegenerateState, TrajectoryTooShort
 from .hardy import HardyCoefficients
 
 __all__ = [
@@ -248,7 +248,7 @@ def evolx_residual(traj: V3Trajectory) -> float:
     d0 = derived(traj.states[0])
     x = traj.x
     if len(x) < 3:
-        raise ValueError("trajectory too short for centered differences")
+        raise TrajectoryTooShort("trajectory too short for centered differences")
     fd = (x[2:] - x[:-2]) / (2.0 * traj.dt)
     rhs_vals = evolx_rhs(d0.Q, d0.M, d0.Ecal, x[1:-1])
     return float(np.max(np.abs(fd**2 - rhs_vals)))
@@ -378,7 +378,7 @@ def instability_experiment(
 
     # one-sided 4th-order stencil for dy/dt at t=0
     if len(fwd.x) < 5:
-        raise ValueError("trajectory too short for the 5-point stencil")
+        raise TrajectoryTooShort("trajectory too short for the 5-point stencil")
     y = fwd.x[:5] - x_r
     dydt0 = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / (12 * dt)
 

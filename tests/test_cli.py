@@ -122,3 +122,11 @@ def test_usage_error_exit_two(capsys):
 def test_missing_state_file_exit_two(tmp_path, capsys):
     code = main(["spectral", "--state", str(tmp_path / "absent.json")])
     assert code == 2
+
+
+def test_trajectory_too_short_is_check_failure(capsys):
+    # 3 steps leave 4 samples, one short of the 5-point stencil: a numerical
+    # check failure (exit 1), not a usage error (exit 2)
+    code = main(["instability", "--r", "0.25", "--gamma", "0.05", "--dt", "1e-4", "--t-final", "3e-4"])
+    assert code == 1
+    assert "[TRAJ_TOO_SHORT]" in capsys.readouterr().err

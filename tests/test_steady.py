@@ -1,13 +1,16 @@
 """The equilibrium family inside the three-parameter class."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from quadszego.dynamics import rhs
 from quadszego.errors import ExtendedPrecisionUnavailable, QuadSzegoError
-from quadszego.hardy import HardyCoefficients, conserved
+from quadszego.hardy import HardyCoefficients, conserved, quadratic_products
 from quadszego.steady import (
     SteadyV3Params,
+    _family_coefficients_ld,
+    _family_constants_ld,
     build_steady,
     family_constants,
     is_steady,
@@ -78,6 +81,72 @@ def test_theta_grid_subset():
         meas = steadiness_measure(SteadyV3Params(scale=1.0, a=0.0, b_angle=0.0, theta=float(theta)))
         assert meas.abs_j < 1e-11, theta
         assert meas.rhs_norm < 1e-11, theta
+
+
+needs_float128 = pytest.mark.skipif(not hasattr(np, "float128"), reason="numpy has no float128 here")
+
+# criterion 10's grid; the extended path starts at its point 47
+STEADY_GRID = np.linspace(0, np.pi / 3, 50, endpoint=False)
+
+
+def _measure_all_80_bit(params: SteadyV3Params, trunc: int) -> tuple[float, float, float]:
+    """Reference: coefficients from per-element 80-bit powers, products,
+    ``J`` and the flow all in complex256.  Returns ``|J|``, the flow norm and
+    ``2 ||Pi(|u|^2)|| + ||u^2||``, the factor that turns an error in ``J``
+    into an error in the flow."""
+    mean, c, p = _family_constants_ld(params.theta)
+    front = np.complex256(params.scale) * np.exp(np.complex256(1j * params.a))
+    rot = np.exp(np.complex256(1j * params.b_angle))
+    coeffs = np.zeros(trunc, dtype=np.complex256)
+    coeffs[0] = front * mean
+    coeffs[1:] = front * c * rot * (p * rot) ** np.arange(trunc - 1, dtype=np.float128)
+    u2, abs2 = quadratic_products(coeffs, trunc)
+    j = np.sum(u2 * np.conj(coeffs))
+    flow = -1j * (2.0 * j * abs2 + np.conj(j) * u2)
+
+    def norm(v):
+        return float(np.sqrt(np.sum(np.abs(v) ** 2)))
+
+    return float(abs(j)), norm(flow), 2.0 * norm(abs2) + norm(u2)
+
+
+@needs_float128
+def test_extended_measure_matches_all_80_bit_products():
+    theta = float(STEADY_GRID[48])
+    rng = np.random.default_rng(10)
+    for a, b in rng.uniform(0, 2 * np.pi, (2, 2)):
+        params = SteadyV3Params(scale=1.0, a=float(a), b_angle=float(b), theta=theta)
+        meas = steadiness_measure(params)
+        assert meas.extended and meas.trunc == 301_943
+        ref_j, ref_flow, gain = _measure_all_80_bit(params, meas.trunc)
+        assert abs(meas.abs_j - ref_j) <= 1e-15
+        # |J| is round-off (~2.5e-14), so the flow norm can differ by a few
+        # percent; the bound is what the |J| tolerance allows
+        assert abs(meas.rhs_norm - ref_flow) <= 1e-15 * gain
+
+
+def _mp_from_ld(x) -> mpmath.mpf:
+    """Exact value of an 80-bit float: 64-bit mantissa times a power of 2."""
+    mant, exp = np.frexp(np.float128(x))
+    return mpmath.mpf((int(np.ldexp(mant, 64)), int(exp) - 64))
+
+
+@needs_float128
+def test_extended_coefficients_match_mpmath():
+    theta = float(STEADY_GRID[49])
+    n = suggested_trunc(theta)
+    assert n == 2_464_553
+    params = SteadyV3Params(scale=1.3, a=0.4, b_angle=2.1, theta=theta)
+    coeffs = _family_coefficients_ld(params, n)
+    _, _, p = _family_constants_ld(theta)
+    q = p * np.exp(np.complex256(1j * params.b_angle))
+    with mpmath.workdps(40):
+        first = mpmath.mpc(_mp_from_ld(coeffs[1].real), _mp_from_ld(coeffs[1].imag))
+        q_mp = mpmath.mpc(_mp_from_ld(q.real), _mp_from_ld(q.imag))
+        for k in (1, n // 2, n - 1):
+            ref = first * q_mp ** (k - 1)
+            got = mpmath.mpc(_mp_from_ld(coeffs[k].real), _mp_from_ld(coeffs[k].imag))
+            assert abs(got - ref) <= 1e-12 * abs(ref), k
 
 
 def test_suggested_trunc_monotone_and_capped():
