@@ -10,6 +10,8 @@ adds nothing to the checks performed here.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .dynamics import SimulationConfig, integrate
@@ -37,15 +39,7 @@ def verify_flow_commutation(u0: HardyCoefficients, n: int, cfg: SimulationConfig
     dilated truncation ``(trunc - 1) N + 1`` so both resolve the same modes.
     """
     base = integrate(u0, cfg)
-    dilated_cfg = SimulationConfig(
-        dt=cfg.dt,
-        t_final=cfg.t_final,
-        trunc=(cfg.trunc - 1) * n + 1,
-        monitor_stride=cfg.monitor_stride,
-        tol_drift=cfg.tol_drift,
-        n_spectrum=cfg.n_spectrum,
-    )
-    comp = integrate(compose_zN(u0.truncated(cfg.trunc), n), dilated_cfg)
+    comp = integrate(compose_zN(u0.truncated(cfg.trunc), n), replace(cfg, trunc=(cfg.trunc - 1) * n + 1))
     gap = 0.0
     for su, sw in zip(base.states, comp.states):
         m = sw.trunc

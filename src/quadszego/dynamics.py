@@ -6,6 +6,10 @@ monitors catch inadequate resolution.  ``J(u)`` is state-dependent and is
 recomputed inside every RK4 stage.  Products come alias-free from
 :func:`~quadszego.hardy.quadratic_products` and are cut back to the state
 dimension each stage, so the state dimension stays fixed.
+
+Invariants are recorded during integration, because their drift aborts it.
+The K^2 spectra are not: a :class:`TrajectoryRecord` computes them on first
+read and shares them with :func:`rank_conservation_check`.
 """
 
 from __future__ import annotations
@@ -13,11 +17,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DriftExceeded, NonFiniteState
-from .hardy import ConservedTriple, HardyCoefficients, conserved, quadratic_products
+from .hardy import ConservedTriple, HardyCoefficients, conserved, pairwise_j, quadratic_products
 from .operators import hankel, shifted_hankel
 
 __all__ = [
@@ -35,9 +40,10 @@ __all__ = [
 class SimulationConfig:
     """Fixed-step integration parameters.
 
-    ``monitor_stride`` controls how often snapshots (state, invariants,
-    K^2 spectrum) are recorded; drift of Q, M, E beyond ``tol_drift``
-    (relative to t=0) aborts with :class:`DriftExceeded`.
+    ``monitor_stride`` controls how often snapshots (state and invariants)
+    are recorded; drift of Q, M, E beyond ``tol_drift`` (relative to t=0)
+    aborts with :class:`DriftExceeded`.  ``n_spectrum`` is the width of the
+    record's ``k2_spectra``, which are computed on first read, not here.
     """
 
     dt: float
@@ -58,25 +64,50 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """Snapshots of an integrated trajectory (immutable once returned)."""
+    """Snapshots of an integrated trajectory (immutable once returned).
+
+    The K^2 spectra are computed on first read: one ``svdvals`` of the
+    shifted Hankel matrix per snapshot, cached read-only and shared by
+    ``k2_spectra`` and :func:`rank_conservation_check`.
+    """
 
     times: np.ndarray
     states: tuple[HardyCoefficients, ...]
     invariants: tuple[ConservedTriple, ...]
-    k2_spectra: np.ndarray  # (n_snapshots, n_spectrum), descending nonnegative rows
     drift: dict  # max relative deviation of Q, M, E from t=0
+    n_spectrum: int = 8  # width of k2_spectra
 
     def __post_init__(self):
-        n = len(self.times)
-        if not (len(self.states) == len(self.invariants) == self.k2_spectra.shape[0] == n):
+        if not len(self.states) == len(self.invariants) == len(self.times):
             raise ValueError("all snapshot sequences must share one length")
+
+    @cached_property
+    def k_singular_values(self) -> tuple[np.ndarray, ...]:
+        """Every singular value of ``K_u`` at each snapshot, descending."""
+        out = []
+        for state in self.states:
+            sv = np.linalg.svdvals(shifted_hankel(state))
+            sv.flags.writeable = False
+            out.append(sv)
+        return tuple(out)
+
+    @cached_property
+    def k2_spectra(self) -> np.ndarray:
+        """(n_snapshots, n_spectrum): the top K^2 eigenvalues, descending and
+        nonnegative, zero-padded when the matrix has fewer."""
+        out = np.zeros((len(self.states), self.n_spectrum))
+        for row, sv in zip(out, self.k_singular_values):
+            top = sv[: self.n_spectrum]
+            row[: len(top)] = top**2
+        out.flags.writeable = False
+        return out
 
 
 def _rhs_array(c: np.ndarray) -> np.ndarray:
     """d/dt of the coefficient vector: the flow reads
     ``i du/dt = 2 J Pi(|u|^2) + conj(J) u^2`` with ``J = (u^2|u)``."""
     u2, abs2 = quadratic_products(c, len(c))
-    j = np.vdot(c, u2)
+    j = pairwise_j(c, u2)
     return -1j * (2.0 * j * abs2 + np.conj(j) * u2)
 
 
@@ -85,20 +116,14 @@ def rhs(u: HardyCoefficients) -> HardyCoefficients:
     return HardyCoefficients(_rhs_array(u.coeffs))
 
 
-def _k2_top_eigs(state: HardyCoefficients, n: int) -> np.ndarray:
-    top = np.linalg.svdvals(shifted_hankel(state))[:n]
-    out = np.zeros(n)
-    out[: len(top)] = top**2
-    return out
-
-
 def integrate(u0: HardyCoefficients, cfg: SimulationConfig) -> TrajectoryRecord:
     """Fixed-step RK4 trajectory from ``u0`` with monitors.
 
-    Snapshots are taken every ``cfg.monitor_stride`` steps (plus the final
-    step).  Raises :class:`NonFiniteState` if a coefficient leaves the finite
-    range and :class:`DriftExceeded` if an invariant drifts beyond
-    ``cfg.tol_drift`` relative to its t=0 value.
+    Snapshots (state and invariants) are taken every ``cfg.monitor_stride``
+    steps (plus the final step); their K^2 spectra are left to the record,
+    which computes them on first read.  Raises :class:`NonFiniteState` if a
+    coefficient leaves the finite range and :class:`DriftExceeded` if an
+    invariant drifts beyond ``cfg.tol_drift`` relative to its t=0 value.
     """
     dt = cfg.dt
     n_steps = int(round(cfg.t_final / dt))
@@ -110,7 +135,6 @@ def integrate(u0: HardyCoefficients, cfg: SimulationConfig) -> TrajectoryRecord:
     times = [0.0]
     states = [HardyCoefficients(c)]
     invariants = [conserved(states[0])]
-    spectra = [_k2_top_eigs(states[0], cfg.n_spectrum)]
     ref = invariants[0]
     drift = {"Q": 0.0, "M": 0.0, "E": 0.0}
 
@@ -120,7 +144,6 @@ def integrate(u0: HardyCoefficients, cfg: SimulationConfig) -> TrajectoryRecord:
         times.append(t)
         states.append(state)
         invariants.append(inv)
-        spectra.append(_k2_top_eigs(state, cfg.n_spectrum))
         for name, now, initial in (("Q", inv.Q, ref.Q), ("M", inv.M, ref.M), ("E", inv.E, ref.E)):
             scale = max(abs(initial), 1e-300)
             rel = abs(now - initial) / scale
@@ -131,23 +154,26 @@ def integrate(u0: HardyCoefficients, cfg: SimulationConfig) -> TrajectoryRecord:
                     "dt may be too large or trunc too small"
                 )
 
-    for step in range(1, n_steps + 1):
-        k1 = _rhs_array(c)
-        k2 = _rhs_array(c + 0.5 * dt * k1)
-        k3 = _rhs_array(c + 0.5 * dt * k2)
-        k4 = _rhs_array(c + dt * k3)
-        c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(c)):
-            raise NonFiniteState(f"non-finite coefficient at step {step}")
-        if step % cfg.monitor_stride == 0 or step == n_steps:
-            _record(step * dt, c)
+    # a blowing-up state overflows inside the stages; the finiteness check
+    # below turns that into NonFiniteState
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            k1 = _rhs_array(c)
+            k2 = _rhs_array(c + 0.5 * dt * k1)
+            k3 = _rhs_array(c + 0.5 * dt * k2)
+            k4 = _rhs_array(c + dt * k3)
+            c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(c)):
+                raise NonFiniteState(f"non-finite coefficient at step {step}")
+            if step % cfg.monitor_stride == 0 or step == n_steps:
+                _record(step * dt, c)
 
     return TrajectoryRecord(
         times=np.array(times),
         states=tuple(states),
         invariants=tuple(invariants),
-        k2_spectra=np.array(spectra),
         drift=drift,
+        n_spectrum=cfg.n_spectrum,
     )
 
 
@@ -156,21 +182,20 @@ def rank_conservation_check(traj: TrajectoryRecord, d: int, tol: float = 1e-8) -
 
     ``d = 2N`` requires ``rank H = rank K = N``; ``d = 2N+1`` requires
     ``rank H = N+1`` and ``rank K = N``.  Eigenvalues beyond the rank must
-    stay below ``tol`` relative to the leading eigenvalue.
+    stay below ``tol`` relative to the leading eigenvalue.  The K values come
+    from the record's cache, so after ``k2_spectra`` has been read only the
+    H singular values are computed here.
     """
     n = d // 2
     want_h, want_k = (n, n) if d % 2 == 0 else (n + 1, n)
-    for state in traj.states:
-        if d == 0:
-            if state.norm() > tol:
-                return False
-            continue
+    if d == 0:
+        return not any(state.norm() > tol for state in traj.states)
+    for state, k_sv in zip(traj.states, traj.k_singular_values):
         h_eigs = np.linalg.svdvals(hankel(state)) ** 2
-        k_eigs = np.linalg.svdvals(shifted_hankel(state)) ** 2
         scale = max(h_eigs[0], 1e-300)
         if int(np.sum(h_eigs > tol * scale)) != want_h:
             return False
-        if int(np.sum(k_eigs > tol * scale)) != want_k:
+        if int(np.sum(k_sv**2 > tol * scale)) != want_k:
             return False
     return True
 

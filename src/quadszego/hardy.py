@@ -42,6 +42,7 @@ __all__ = [
     "conserved",
     "conv_full",
     "quadratic_products",
+    "pairwise_j",
 ]
 
 # conv_full (behind multiply) is direct below this output length, FFT above.
@@ -82,6 +83,16 @@ def quadratic_products(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         v *= v
     u2 = scipy.fft.fft(v, norm="forward", overwrite_x=True)[:n]
     return u2, pi_abs2
+
+
+def pairwise_j(c: np.ndarray, u2: np.ndarray) -> complex:
+    """``J = (u^2|u)`` from the ``M`` coefficients ``c`` of ``u`` and at least
+    ``M`` modes of ``u^2``.
+
+    The sum is pairwise (``np.sum``), not a BLAS dot: at millions of modes a
+    dot's running sum carries about ten times the round-off.
+    """
+    return np.sum(u2[: len(c)] * np.conj(c))
 
 
 @dataclass(frozen=True)
@@ -273,5 +284,5 @@ def conserved(u: HardyCoefficients) -> ConservedTriple:
     q = float(np.sum(absq))
     mom = float(np.sum(np.arange(u.trunc) * absq))
     u2, _ = quadratic_products(c, u.trunc)
-    j = complex(np.vdot(c, u2))
+    j = complex(pairwise_j(c, u2))
     return ConservedTriple(Q=q, M=mom, E=0.5 * abs(j) ** 2, J=j)

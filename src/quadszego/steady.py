@@ -38,7 +38,7 @@ import numpy as np
 
 from .dynamics import rhs
 from .errors import ExtendedPrecisionUnavailable, PoleOutsideDisc
-from .hardy import HardyCoefficients, conserved, quadratic_products
+from .hardy import HardyCoefficients, conserved, pairwise_j, quadratic_products
 
 __all__ = [
     "SteadyV3Params",
@@ -174,8 +174,9 @@ def steadiness_measure(
     coefficient once to double.  That rounding is an unstructured error of
     size ``eps ||u||``, not a move along the family, so ``u^2``, ``Pi(|u|^2)``,
     ``J`` and the flow are double-precision products, as on the double path.
-    ``J`` is summed pairwise (``np.sum``): at millions of modes a BLAS dot
-    product's round-off alone exceeds the 1e-11 gate on the flow norm.
+    ``J`` is summed pairwise (:func:`~quadszego.hardy.pairwise_j`): at
+    millions of modes a BLAS dot product's round-off alone exceeds the 1e-11
+    gate on the flow norm.
     Without ``np.float128`` it raises :class:`ExtendedPrecisionUnavailable`
     up front.
     """
@@ -189,7 +190,7 @@ def steadiness_measure(
     else:
         coeffs = build_steady(params, tr).coeffs
     u2, abs2 = quadratic_products(coeffs, tr)
-    j = np.sum(u2 * np.conj(coeffs))
+    j = pairwise_j(coeffs, u2)
     # i du/dt = 2 J Pi(|u|^2) + conj(J) u^2; the factor i leaves the norm
     rhs_norm = float(np.linalg.norm(2.0 * j * abs2 + np.conj(j) * u2))
     return SteadinessMeasure(abs_j=float(abs(j)), rhs_norm=rhs_norm, trunc=tr, extended=extended)

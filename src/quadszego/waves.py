@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeasureMismatch, TruncationTooSmall
-from .hardy import HardyCoefficients, apply_D, quadratic_products
+from .hardy import HardyCoefficients, apply_D, pairwise_j, quadratic_products
 
 __all__ = [
     "TravelingWaveSpec",
@@ -121,7 +121,7 @@ def residual_traveling(v0: HardyCoefficients, omega: float, c: float) -> float:
     evaluated at full padded length."""
     m = v0.trunc
     u2, abs2 = quadratic_products(v0.coeffs, 2 * m - 1)
-    j0 = np.vdot(v0.coeffs, u2[:m])
+    j0 = pairwise_j(v0.coeffs, u2)
     res = -(2.0 * j0 * abs2 + np.conj(j0) * u2)
     res[:m] += omega * v0.coeffs + c * apply_D(v0).coeffs
     return float(np.linalg.norm(res))

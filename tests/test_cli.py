@@ -1,5 +1,7 @@
 """Experiment-runner surface: exit codes, artifacts, determinism."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from quadszego.cli import main
 from quadszego.hardy import HardyCoefficients
+from quadszego.operators import shifted_hankel
 
 
 def write_state(path, coeffs):
@@ -69,6 +72,30 @@ def test_simulate_with_config_file(tmp_path):
     assert code == 0
     header = csvfile.read_text().splitlines()[0].split(",")
     assert header[:5] == ["t", "Q", "M", "E", "absJ"]
+
+
+def test_simulate_artifacts_byte_reproducible(tmp_path):
+    state = tmp_path / "state.json"
+    write_state(state, 2.0 * 0.4 ** np.arange(48) - 0.2 ** np.arange(48))
+    runs = []
+    for name in ("a", "b"):
+        csvfile, jsonlfile = tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"
+        code = main([
+            "simulate", "--state", str(state), "--dt", "0.002", "--t-final", "0.2",
+            "--trunc", "48", "--stride", "25", "--out-csv", str(csvfile), "--out-jsonl", str(jsonlfile),
+        ])
+        assert code == 0
+        runs.append((csvfile.read_bytes(), jsonlfile.read_bytes()))
+    assert runs[0] == runs[1]
+    # the CSV's K^2 columns are the squared singular values of K at the JSONL states
+    rows = list(csv.reader(io.StringIO(runs[0][0].decode())))
+    spec_cols = [i for i, name in enumerate(rows[0]) if name.startswith("k2_eig_")]
+    snapshots = [json.loads(line) for line in runs[0][1].decode().splitlines()]
+    assert len(rows) - 1 == len(snapshots) == 5
+    for row, snap in zip(rows[1:], snapshots):
+        assert float(row[0]) == snap["t"]
+        sv = np.linalg.svdvals(shifted_hankel(HardyCoefficients.from_json(snap["state"])))
+        assert [float(row[i]) for i in spec_cols] == list(sv[: len(spec_cols)] ** 2)
 
 
 def test_flag_precedence_over_config(tmp_path, capsys):

@@ -16,6 +16,7 @@ from quadszego.dynamics import (
 )
 from quadszego.errors import DriftExceeded, NonFiniteState
 from quadszego.hardy import HardyCoefficients, apply_D
+from quadszego.operators import hankel, shifted_hankel
 from quadszego.v3 import V3State, embed
 from quadszego.waves import TravelingWaveSpec, build_profile
 
@@ -94,6 +95,68 @@ def test_rank_conservation_v2_and_v3():
     traj = integrate(v4, SimulationConfig(dt=1e-3, t_final=0.5, trunc=256, monitor_stride=125))
     assert rank_conservation_check(traj, 4)
     assert not rank_conservation_check(traj, 5)
+
+
+# ---------------------------------------------------------------- lazy spectra
+
+
+def _v3_trajectory(n_spectrum: int = 8):
+    u0 = embed(V3State(b=0.3 + 0.1j, c=1.0, p=0.4), 64)
+    cfg = SimulationConfig(dt=1e-3, t_final=0.05, trunc=64, monitor_stride=10, n_spectrum=n_spectrum)
+    return integrate(u0, cfg)
+
+
+def _count_svdvals(monkeypatch) -> list:
+    """Record the matrix of every ``np.linalg.svdvals`` call."""
+    calls = []
+    original = np.linalg.svdvals
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svdvals", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n_spectrum", [3, 8, 64, 70])
+def test_k2_spectra_match_svdvals_bit_for_bit(n_spectrum):
+    traj = _v3_trajectory(n_spectrum)
+    assert traj.k2_spectra.shape == (len(traj.times), n_spectrum)
+    assert traj.k2_spectra.dtype == np.float64
+    for row, state in zip(traj.k2_spectra, traj.states):
+        top = np.linalg.svdvals(shifted_hankel(state))[:n_spectrum] ** 2
+        assert np.array_equal(row[: len(top)], top)
+        assert not np.any(row[len(top) :])  # zero padding past the 64 values of K
+
+
+def test_integrate_computes_no_spectrum(monkeypatch):
+    calls = _count_svdvals(monkeypatch)
+    traj = _v3_trajectory()
+    assert calls == []
+    traj.k2_spectra
+    assert len(calls) == len(traj.times)
+
+
+def test_rank_check_reuses_k_singular_values(monkeypatch):
+    traj = _v3_trajectory()
+    traj.k2_spectra
+    calls = _count_svdvals(monkeypatch)
+    assert rank_conservation_check(traj, 3)
+    assert len(calls) == len(traj.times)
+    # every call was on H; K came from the cache
+    assert all(np.array_equal(a, hankel(state)) for a, state in zip(calls, traj.states))
+    traj.k2_spectra
+    assert len(calls) == len(traj.times)
+
+
+def test_cached_spectra_are_read_only():
+    traj = _v3_trajectory()
+    with pytest.raises(ValueError):
+        traj.k2_spectra[0, 0] = 1.0
+    for sv in traj.k_singular_values:
+        with pytest.raises(ValueError):
+            sv[0] = 1.0
 
 
 def test_rank_conservation_zero_state():

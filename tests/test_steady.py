@@ -125,6 +125,21 @@ def test_extended_measure_matches_all_80_bit_products():
         assert abs(meas.rhs_norm - ref_flow) <= 1e-15 * gain
 
 
+@needs_float128
+def test_conserved_j_sums_pairwise_at_millions_of_modes():
+    # a BLAS dot product read 6.5e-13 here on one thread (3.1e-14 on two);
+    # the pairwise sum reads 4.1e-14 whatever the BLAS threading
+    theta = float(STEADY_GRID[49])
+    params = SteadyV3Params(scale=1.0, a=0.0, b_angle=0.0, theta=theta)
+    u = HardyCoefficients(_family_coefficients_ld(params, suggested_trunc(theta)).astype(np.complex128))
+    assert u.trunc == 2_464_553
+    j = conserved(u).J
+    u2, _ = quadratic_products(u.coeffs, u.trunc)
+    assert j == np.sum(u2 * np.conj(u.coeffs))
+    assert abs(j) < 1e-13
+    assert is_steady(u, tol=1e-13)
+
+
 def _mp_from_ld(x) -> mpmath.mpf:
     """Exact value of an 80-bit float: 64-bit mantissa times a power of 2."""
     mant, exp = np.frexp(np.float128(x))
