@@ -186,10 +186,10 @@ def rank_conservation_check(traj: TrajectoryRecord, d: int, tol: float = 1e-8) -
     from the record's cache, so after ``k2_spectra`` has been read only the
     H singular values are computed here.
     """
-    n = d // 2
-    want_h, want_k = (n, n) if d % 2 == 0 else (n + 1, n)
     if d == 0:
         return not any(state.norm() > tol for state in traj.states)
+    n = d // 2
+    want_h, want_k = (n, n) if d % 2 == 0 else (n + 1, n)
     for state, k_sv in zip(traj.states, traj.k_singular_values):
         h_eigs = np.linalg.svdvals(hankel(state)) ** 2
         scale = max(h_eigs[0], 1e-300)

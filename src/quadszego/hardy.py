@@ -90,7 +90,8 @@ def pairwise_j(c: np.ndarray, u2: np.ndarray) -> complex:
     ``M`` modes of ``u^2``.
 
     The sum is pairwise (``np.sum``), not a BLAS dot: at millions of modes a
-    dot's running sum carries about ten times the round-off.
+    single-threaded dot carried sixteen times the round-off, and a dot's
+    result changes with the BLAS thread count.
     """
     return np.sum(u2[: len(c)] * np.conj(c))
 
