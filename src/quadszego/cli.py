@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--eps0", type=float)
-    p.add_argument("--dt", type=float)
+    p.add_argument("--dt", type=float, help="sample spacing of the reduced trajectory")
     p.add_argument("--t-final", dest="t_final", type=float)
     _add_common(p)
     p.set_defaults(func=_cmd_instability)

@@ -2,10 +2,11 @@
 
 The truncated equation is a smooth, non-stiff ODE on the first ``trunc``
 Fourier coefficients; classical fixed-step RK4 is used and the conservation
-monitors catch inadequate resolution.  ``J(u)`` is state-dependent and is
-recomputed inside every RK4 stage.  Products come alias-free from
-:func:`~quadszego.hardy.quadratic_products` and are cut back to the state
-dimension each stage, so the state dimension stays fixed.
+monitors catch inadequate resolution.  Each RK4 stage evaluates the whole
+right-hand side on the sample grid of :func:`~quadszego.hardy.grid_values`:
+one inverse FFT samples the state, ``J(u)`` is the grid mean of
+``|u|^2 u``, and one forward FFT returns the first ``trunc`` modes, so the
+state dimension stays fixed and nothing aliases onto a kept mode.
 
 Invariants are recorded during integration, because their drift aborts it.
 The K^2 spectra are not: a :class:`TrajectoryRecord` computes them on first
@@ -20,9 +21,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 from .errors import DriftExceeded, NonFiniteState
-from .hardy import ConservedTriple, HardyCoefficients, conserved, pairwise_j, quadratic_products
+from .hardy import ConservedTriple, HardyCoefficients, conserved, grid_values
 from .operators import hankel, shifted_hankel
 
 __all__ = [
@@ -67,8 +69,9 @@ class TrajectoryRecord:
     """Snapshots of an integrated trajectory (immutable once returned).
 
     The K^2 spectra are computed on first read: one ``svdvals`` of the
-    shifted Hankel matrix per snapshot, cached read-only and shared by
-    ``k2_spectra`` and :func:`rank_conservation_check`.
+    shifted Hankel matrix per snapshot, cached read-only per snapshot and
+    shared by ``k2_spectra`` and :func:`rank_conservation_check`, which stops
+    at the first failing snapshot without computing the rest.
     """
 
     times: np.ndarray
@@ -80,16 +83,22 @@ class TrajectoryRecord:
     def __post_init__(self):
         if not len(self.states) == len(self.invariants) == len(self.times):
             raise ValueError("all snapshot sequences must share one length")
+        object.__setattr__(self, "_k_sv", [None] * len(self.states))
 
-    @cached_property
+    def _k_singular_values_at(self, i: int) -> np.ndarray:
+        """Every singular value of ``K_u`` at snapshot ``i``, descending;
+        computed once, on first read."""
+        sv = self._k_sv[i]
+        if sv is None:
+            sv = np.linalg.svdvals(shifted_hankel(self.states[i]))
+            sv.flags.writeable = False
+            self._k_sv[i] = sv
+        return sv
+
+    @property
     def k_singular_values(self) -> tuple[np.ndarray, ...]:
         """Every singular value of ``K_u`` at each snapshot, descending."""
-        out = []
-        for state in self.states:
-            sv = np.linalg.svdvals(shifted_hankel(state))
-            sv.flags.writeable = False
-            out.append(sv)
-        return tuple(out)
+        return tuple(self._k_singular_values_at(i) for i in range(len(self.states)))
 
     @cached_property
     def k2_spectra(self) -> np.ndarray:
@@ -105,10 +114,24 @@ class TrajectoryRecord:
 
 def _rhs_array(c: np.ndarray) -> np.ndarray:
     """d/dt of the coefficient vector: the flow reads
-    ``i du/dt = 2 J Pi(|u|^2) + conj(J) u^2`` with ``J = (u^2|u)``."""
-    u2, abs2 = quadratic_products(c, len(c))
-    j = pairwise_j(c, u2)
-    return -1j * (2.0 * j * abs2 + np.conj(j) * u2)
+    ``i du/dt = 2 J Pi(|u|^2) + conj(J) u^2`` with ``J = (u^2|u)``.
+
+    ``u`` is sampled as ``v`` on the grid of
+    :func:`~quadszego.hardy.grid_values` (``L >= 2M-1`` points).  There ``J``
+    is the mean of ``|v|^2 v``, summed pairwise, exact because no nonzero
+    frequency of ``u^2 conj(u)`` is a multiple of ``L``.  The kept modes
+    ``0..M-1`` of ``-i (2 J |v|^2 + conj(J) v^2)`` then come from one forward
+    FFT, alias-free on the same grid; ``Pi`` needs no extra step, since the
+    negative modes of ``|u|^2`` are simply not kept.
+    """
+    v = grid_values(c)
+    abs2 = v.real**2
+    abs2 += v.imag**2
+    j = np.sum(abs2 * v) / len(v)
+    v *= v
+    v *= -1j * np.conj(j)
+    v += (-2j * j) * abs2
+    return scipy.fft.fft(v, norm="forward", overwrite_x=True)[: len(c)]
 
 
 def rhs(u: HardyCoefficients) -> HardyCoefficients:
@@ -119,6 +142,8 @@ def rhs(u: HardyCoefficients) -> HardyCoefficients:
 def integrate(u0: HardyCoefficients, cfg: SimulationConfig) -> TrajectoryRecord:
     """Fixed-step RK4 trajectory from ``u0`` with monitors.
 
+    Each of the four stages of a step costs one inverse and one forward FFT
+    of length ``next_fast_len(2 trunc - 1)`` (see :func:`_rhs_array`).
     Snapshots (state and invariants) are taken every ``cfg.monitor_stride``
     steps (plus the final step); their K^2 spectra are left to the record,
     which computes them on first read.  Raises :class:`NonFiniteState` if a
@@ -183,19 +208,20 @@ def rank_conservation_check(traj: TrajectoryRecord, d: int, tol: float = 1e-8) -
     ``d = 2N`` requires ``rank H = rank K = N``; ``d = 2N+1`` requires
     ``rank H = N+1`` and ``rank K = N``.  Eigenvalues beyond the rank must
     stay below ``tol`` relative to the leading eigenvalue.  The K values come
-    from the record's cache, so after ``k2_spectra`` has been read only the
-    H singular values are computed here.
+    from the record's per-snapshot cache, so after ``k2_spectra`` has been
+    read only the H singular values are computed here, and the check stops
+    at the first failing snapshot.
     """
     if d == 0:
         return not any(state.norm() > tol for state in traj.states)
     n = d // 2
     want_h, want_k = (n, n) if d % 2 == 0 else (n + 1, n)
-    for state, k_sv in zip(traj.states, traj.k_singular_values):
+    for i, state in enumerate(traj.states):
         h_eigs = np.linalg.svdvals(hankel(state)) ** 2
         scale = max(h_eigs[0], 1e-300)
         if int(np.sum(h_eigs > tol * scale)) != want_h:
             return False
-        if int(np.sum(k_sv**2 > tol * scale)) != want_k:
+        if int(np.sum(traj._k_singular_values_at(i) ** 2 > tol * scale)) != want_k:
             return False
     return True
 

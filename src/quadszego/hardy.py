@@ -12,8 +12,10 @@ Conventions
   Lebesgue measure on the circle, Parseval);
 * the flow's products ``u^2`` and ``Pi(|u|^2)`` come from one alias-free FFT
   kernel, :func:`quadratic_products`, exact up to round-off in ``||u||^2``;
-  :func:`multiply` is an exact full-length convolution; callers truncate
-  afterwards when they need a fixed state dimension;
+  it and the flow's right-hand side sample ``u`` on the grid that
+  :func:`grid_values` chooses; :func:`multiply` is an exact full-length
+  (direct) convolution; callers truncate afterwards when they need a fixed
+  state dimension;
 * conjugation maps the coefficient at index ``k`` to its conjugate at ``-k``
   on a two-sided scratch buffer; the projector then re-extracts indices
   ``>= 0``.
@@ -26,7 +28,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.fft
-from scipy.signal import fftconvolve
 
 __all__ = [
     "HardyCoefficients",
@@ -40,38 +41,42 @@ __all__ = [
     "multiply",
     "szego_abs2",
     "conserved",
-    "conv_full",
+    "grid_values",
     "quadratic_products",
     "pairwise_j",
 ]
 
-# conv_full (behind multiply) is direct below this output length, FFT above.
-# Both are exact full-length (alias-free) products; the FFT path only trades
-# a few ulps of round-off for the O(n log n) cost.
-_FFT_CONV_THRESHOLD = 8192
 
+def grid_values(c: np.ndarray) -> np.ndarray:
+    """``u`` at ``exp(2 pi i j / L)``, ``j = 0..L-1``, from its ``M``
+    coefficients ``c``, with ``L = next_fast_len(2M-1)``; keeps ``c``'s dtype.
 
-def conv_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact full-length linear convolution of two coefficient vectors."""
-    n = len(a) + len(b) - 1
-    if n <= _FFT_CONV_THRESHOLD:
-        return np.convolve(a, b)
-    return fftconvolve(a, b)
+    The products the flow needs, ``u^2``, ``|u|^2`` and ``u^2 conj(u)``,
+    have frequencies in ``-(M-1)..2M-2``.  For ``k`` in ``0..M-1`` both
+    ``k - L`` and ``k + L`` lie outside that range when ``L >= 2M-1``, so a
+    forward FFT on this grid gives their modes ``0..M-1`` without aliasing;
+    in particular the grid mean of ``u^2 conj(u)`` is exactly ``J = (u^2|u)``.
+    """
+    m = len(c)
+    # padded here: scipy.fft pads a short input more slowly than zeros() does
+    v = np.zeros(scipy.fft.next_fast_len(2 * m - 1), dtype=np.result_type(c.dtype, np.complex64))
+    v[:m] = c
+    return scipy.fft.ifft(v, norm="forward", overwrite_x=True)
 
 
 def quadratic_products(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Modes ``0..n-1`` of ``u^2`` and of ``Pi(|u|^2)``, for ``1 <= n <= 2M-1``.
 
     ``c`` holds the ``M`` coefficients of ``u``; the results keep its dtype
-    (complex128 or complex256).  One inverse FFT samples ``u`` on ``L >= 2M-1``
-    points, so no kept mode aliases; one forward FFT of ``u^2`` and one real
-    FFT of ``|u|^2`` follow.  Modes of ``Pi(|u|^2)`` at or above ``M`` are 0.
+    (complex128 or complex256).  One inverse FFT samples ``u`` on the grid of
+    :func:`grid_values`, so no kept mode aliases; one forward FFT of ``u^2``
+    and one real FFT of ``|u|^2`` follow.  Modes of ``Pi(|u|^2)`` at or above
+    ``M`` are 0.
     """
     m = len(c)
     if not 1 <= n <= 2 * m - 1:
         raise ValueError(f"need 1 <= n <= 2M-1 = {2 * m - 1}, got n={n}")
-    size = scipy.fft.next_fast_len(2 * m - 1)
-    v = scipy.fft.ifft(c, size, norm="forward")  # u at exp(2 pi i j / size)
+    v = grid_values(c)
     keep = min(n, m)
     pi_abs2 = np.zeros(n, dtype=v.dtype)
     # a blowing-up state overflows here; callers check the result for inf/nan
@@ -259,7 +264,7 @@ def multiply(u: HardyCoefficients, v: HardyCoefficients, trunc: int | None = Non
     The result has full length ``trunc_u + trunc_v - 1`` (no aliasing); pass
     ``trunc`` to cut back to a fixed state dimension afterwards.
     """
-    prod = HardyCoefficients(conv_full(u.coeffs, v.coeffs))
+    prod = HardyCoefficients(np.convolve(u.coeffs, v.coeffs))
     return prod if trunc is None else prod.truncated(trunc)
 
 

@@ -15,7 +15,7 @@ from quadszego.dynamics import (
     trajectory_to_jsonl,
 )
 from quadszego.errors import DriftExceeded, NonFiniteState
-from quadszego.hardy import HardyCoefficients, apply_D
+from quadszego.hardy import HardyCoefficients, apply_D, pairwise_j, quadratic_products
 from quadszego.operators import hankel, shifted_hankel
 from quadszego.v3 import V3State, embed
 from quadszego.waves import TravelingWaveSpec, build_profile
@@ -24,6 +24,19 @@ from quadszego.waves import TravelingWaveSpec, build_profile
 def test_rhs_zero():
     out = rhs(HardyCoefficients([0.0, 0.0]))
     assert out.norm() == 0.0
+
+
+@pytest.mark.parametrize("m", [2, 3, 256, 512, 1000])
+def test_rhs_matches_quadratic_products(m):
+    # the one-FFT-pair RHS against the three-FFT route; the RHS is quintic in
+    # u, and unit norm makes 1e-14 a bound relative to ||u||^3 and ||u||^5
+    rng = np.random.default_rng(m)
+    c = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * 0.99 ** np.arange(m)
+    c /= np.linalg.norm(c)
+    u2, abs2 = quadratic_products(c, m)
+    j = pairwise_j(c, u2)
+    expected = -1j * (2.0 * j * abs2 + np.conj(j) * u2)
+    assert np.max(np.abs(rhs(HardyCoefficients(c)).coeffs - expected)) < 1e-14
 
 
 def test_rhs_constant_reduction():
@@ -148,6 +161,30 @@ def test_rank_check_reuses_k_singular_values(monkeypatch):
     assert all(np.array_equal(a, hankel(state)) for a, state in zip(calls, traj.states))
     traj.k2_spectra
     assert len(calls) == len(traj.times)
+
+
+def _criterion5_trajectory():
+    """Criterion 5's V(4) datum at trunc 256, six snapshots."""
+    u0 = HardyCoefficients(2.0 * 0.4 ** np.arange(256) - 0.2 ** np.arange(256))
+    cfg = SimulationConfig(dt=1e-3, t_final=0.05, trunc=256, monitor_stride=10, n_spectrum=4)
+    return integrate(u0, cfg)
+
+
+def test_failing_rank_check_stops_at_failing_snapshot(monkeypatch):
+    traj = _criterion5_trajectory()
+    calls = _count_svdvals(monkeypatch)
+    assert not rank_conservation_check(traj, 5)  # rank H = 2, not 3
+    assert len(calls) <= 2
+
+
+def test_k2_spectra_compute_only_missing_k_values(monkeypatch):
+    traj = _criterion5_trajectory()
+    calls = _count_svdvals(monkeypatch)
+    assert not rank_conservation_check(traj, 3)  # rank H = 2 passes, rank K = 2 fails
+    assert len(calls) == 2  # H and K of the first snapshot
+    spectra = traj.k2_spectra
+    assert len(calls) == 2 + len(traj.times) - 1
+    assert np.array_equal(spectra[0], np.linalg.svdvals(shifted_hankel(traj.states[0]))[:4] ** 2)
 
 
 def test_cached_spectra_are_read_only():

@@ -1,10 +1,15 @@
 """Core representation: projector, calculus, products, conserved quantities."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quadszego
 from quadszego.hardy import (
     HardyCoefficients,
     apply_D,
@@ -375,3 +380,12 @@ def test_json_round_trip_exact():
 def test_json_rejects_mismatched_trunc():
     with pytest.raises(ValueError):
         HardyCoefficients.from_json({"trunc": 3, "re": [1.0], "im": [0.0]})
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal (and the scipy.stats it pulls in) costs most of the import
+    src = str(Path(quadszego.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, quadszego; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,13 +1,18 @@
 """Reduced dynamics on the three-parameter class and the instability experiment."""
 
+import math
+
 import numpy as np
 import pytest
+
+import quadszego.v3 as v3_module
 
 from quadszego.dynamics import SimulationConfig, integrate
 from quadszego.errors import DegenerateState
 from quadszego.hardy import conserved
 from quadszego.v3 import (
     V3State,
+    _deriv,
     angle_distance,
     derived,
     embed,
@@ -18,6 +23,37 @@ from quadszego.v3 import (
     v3_integrate,
     v3_rhs,
 )
+
+
+def _rk4_step(b, c, p, dt):
+    kb1, kc1, kp1 = _deriv(b, c, p)
+    kb2, kc2, kp2 = _deriv(b + 0.5 * dt * kb1, c + 0.5 * dt * kc1, p + 0.5 * dt * kp1)
+    kb3, kc3, kp3 = _deriv(b + 0.5 * dt * kb2, c + 0.5 * dt * kc2, p + 0.5 * dt * kp2)
+    kb4, kc4, kp4 = _deriv(b + dt * kb3, c + dt * kc3, p + dt * kp3)
+    sixth = dt / 6.0
+    return (
+        b + sixth * (kb1 + 2 * kb2 + 2 * kb3 + kb4),
+        c + sixth * (kc1 + 2 * kc2 + 2 * kc3 + kc4),
+        p + sixth * (kp1 + 2 * kp2 + 2 * kp3 + kp4),
+    )
+
+
+def _rk4_reference(s0, dt, t_final, stop_when=None):
+    """Fixed-step scalar RK4, a short-horizon reference for ``v3_integrate``:
+    x, psi and (b, c, p) at every sample, up to the first sample where
+    ``stop_when`` holds."""
+    h = math.copysign(dt, t_final)
+    b, c, p = s0.b, s0.c, s0.p
+    xs, psis, states = [derived(s0).x], [derived(s0).psi], [(b, c, p)]
+    for i in range(1, int(round(abs(t_final) / dt)) + 1):
+        b, c, p = _rk4_step(b, c, p, h)
+        d = derived(V3State(b=b, c=c, p=p))
+        xs.append(d.x)
+        psis.append(d.psi)
+        states.append((b, c, p))
+        if stop_when is not None and stop_when(np.array([i * h]), np.array([d.x]), np.array([d.psi]))[0]:
+            break
+    return np.array(xs), np.array(psis), states
 
 
 def random_admissible(rng):
@@ -166,6 +202,63 @@ def test_embedded_matches_full_pde():
         if round(float(t), 9) in by_time
     )
     assert gap < 1e-6
+
+
+@pytest.mark.parametrize("t_final", [1.0, -1.0])
+def test_dense_output_matches_rk4_reference(t_final):
+    s0 = V3State(b=0.3 + 0.1j, c=1.0, p=0.4)
+    tr = v3_integrate(s0, 1e-4, t_final, stride=1000)
+    xs, psis, states = _rk4_reference(s0, 1e-4, t_final)
+    assert np.array_equal(tr.times, np.arange(10001) * tr.dt)
+    assert np.max(np.abs(tr.x - xs)) < 1e-11
+    assert max(angle_distance(a, b) for a, b in zip(tr.psi, psis)) < 1e-11
+    assert np.allclose(tr.state_times, np.linspace(0.0, t_final, 11), rtol=0, atol=1e-12)
+    for t, st in zip(tr.state_times, tr.states):
+        b, c, p = states[int(round(t / tr.dt))]
+        assert max(abs(st.b - b), abs(st.c - c), abs(st.p - p)) < 1e-11
+
+
+@pytest.mark.parametrize("t_final", [20.0, -20.0])
+def test_stop_when_stops_at_reference_sample(t_final):
+    base = derived(translated_ground_state(0.25))
+    threshold = 1e-2 * math.sqrt(base.M)
+
+    def stop(t, x, psi):
+        return np.abs(x - base.x) > 1.25 * threshold
+
+    s0 = translated_ground_state(0.25, 0.05)
+    tr = v3_integrate(s0, 1e-4, t_final, stride=1000, stop_when=stop)
+    xs, _, _ = _rk4_reference(s0, 1e-4, t_final, stop_when=stop)
+    assert len(tr.x) == len(xs) < 200_001  # an escaping run: it stopped early
+    assert stop(tr.times[-1:], tr.x[-1:], tr.psi[-1:])[0] and not np.any(stop(tr.times, tr.x, tr.psi)[:-1])
+    assert tr.state_times[-1] == tr.times[-1]
+
+
+def test_solver_stops_within_one_step_of_the_stop_sample(monkeypatch):
+    seen = []
+    rhs = v3_module._solver_rhs
+
+    def recording(t, y):
+        seen.append(t)
+        return rhs(t, y)
+
+    monkeypatch.setattr(v3_module, "_solver_rhs", recording)
+    tr = v3_integrate(V3State(b=0.3 + 0.1j, c=1.0, p=0.4), 1e-3, 10.0, stride=100, stop_when=lambda t, x, psi: t > 0.4995)
+    assert len(tr.times) == 501
+    assert 0.5 <= max(seen) < 1.0  # the horizon is 10
+
+
+def test_v3_integrate_raises_near_degenerate():
+    with pytest.raises(DegenerateState):
+        v3_integrate(V3State(b=0.0, c=1.0, p=1.0 - 1e-12), 1e-4, 0.1)
+    with pytest.raises(DegenerateState):
+        v3_integrate(V3State(b=1.0, c=1e-15, p=0.1), 1e-4, 0.1)
+
+
+def test_v3_drift_values_are_floats():
+    tr = v3_integrate(V3State(b=0.3 + 0.1j, c=1.0, p=0.4), 1e-3, 0.5, stride=100)
+    assert set(tr.drift) == {"Q", "M", "Ecal"}
+    assert all(type(v) is float for v in tr.drift.values())
 
 
 # ---------------------------------------------------------------- evolution law of x
