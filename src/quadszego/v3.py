@@ -196,13 +196,12 @@ def v3_integrate(
     """
     n_steps = int(round(abs(t_final) / abs(dt)))
     h = math.copysign(abs(dt), t_final)
-    times = np.arange(n_steps + 1) * h
-    reach = np.abs(times)
     d0 = derived(s0)
 
+    times = np.empty(n_steps + 1)
     xs = np.empty(n_steps + 1)
     psis = np.empty(n_steps + 1)
-    xs[0], psis[0] = d0.x, d0.psi
+    times[0], xs[0], psis[0] = 0.0, d0.x, d0.psi
     state_times = [0.0]
     states = [s0]
     drift = {"Q": 0.0, "M": 0.0, "Ecal": 0.0}
@@ -211,15 +210,18 @@ def v3_integrate(
     done = 0  # last filled sample
     if n_steps > 0:
         y0 = np.array([s0.b, s0.c, s0.p], dtype=np.complex128)
-        solver = DOP853(_solver_rhs, 0.0, y0, times[-1], rtol=_RTOL, atol=_ATOL)
+        solver = DOP853(_solver_rhs, 0.0, y0, n_steps * h, rtol=_RTOL, atol=_ATOL)
     while done < end:
         solver.step()
         if solver.status == "failed":
             raise DegenerateState(f"reduced solver stopped at t={solver.t:.6g}: {solver.message}")
-        last = int(np.searchsorted(reach, abs(solver.t), side="right")) - 1
+        # the last sample the step has passed; one ulp either way only moves
+        # a sample to the neighbouring step's interpolant
+        last = n_steps if solver.status == "finished" else int(solver.t / h)
         if last == done:
             continue
         idx = np.arange(done + 1, last + 1)
+        times[idx] = idx * h
         b, c, p = solver.dense_output()(times[idx])
         abs_c = np.abs(c)
         x = abs_c * np.sqrt(abs_c**2 / (1.0 - np.abs(p) ** 2) ** 2)
