@@ -25,7 +25,7 @@ import scipy.fft
 
 from .errors import DriftExceeded, NonFiniteState
 from .hardy import ConservedTriple, HardyCoefficients, conserved, grid_values
-from .operators import hankel, shifted_hankel
+from .operators import hankel, shifted_hankel, sketched_singular_values
 
 __all__ = [
     "SimulationConfig",
@@ -36,6 +36,9 @@ __all__ = [
     "trajectory_to_csv",
     "trajectory_to_jsonl",
 ]
+
+#: columns the rank check's sketch of H takes beyond the rank it certifies
+_SKETCH_OVERSAMPLE = 4
 
 
 @dataclass(frozen=True)
@@ -112,9 +115,9 @@ class TrajectoryRecord:
         return out
 
 
-def _rhs_array(c: np.ndarray) -> np.ndarray:
-    """d/dt of the coefficient vector: the flow reads
-    ``i du/dt = 2 J Pi(|u|^2) + conj(J) u^2`` with ``J = (u^2|u)``.
+def _j_and_rhs(c: np.ndarray) -> tuple[complex, np.ndarray]:
+    """``J = (u^2|u)`` and d/dt of the coefficient vector: the flow reads
+    ``i du/dt = 2 J Pi(|u|^2) + conj(J) u^2``.
 
     ``u`` is sampled as ``v`` on the grid of
     :func:`~quadszego.hardy.grid_values` (``L >= 2M-1`` points).  There ``J``
@@ -131,7 +134,12 @@ def _rhs_array(c: np.ndarray) -> np.ndarray:
     v *= v
     v *= -1j * np.conj(j)
     v += (-2j * j) * abs2
-    return scipy.fft.fft(v, norm="forward", overwrite_x=True)[: len(c)]
+    return j, scipy.fft.fft(v, norm="forward", overwrite_x=True)[: len(c)]
+
+
+def _rhs_array(c: np.ndarray) -> np.ndarray:
+    """d/dt of the coefficient vector, from :func:`_j_and_rhs`."""
+    return _j_and_rhs(c)[1]
 
 
 def rhs(u: HardyCoefficients) -> HardyCoefficients:
@@ -202,22 +210,70 @@ def integrate(u0: HardyCoefficients, cfg: SimulationConfig) -> TrajectoryRecord:
     )
 
 
+def _sketched_rank(h: np.ndarray, width: int, tol: float) -> tuple[int, tuple[float, float]] | None:
+    """Certified ``#{j : sigma_j(h)^2 > tol sigma_1(h)^2}`` from
+    :func:`~quadszego.operators.sketched_singular_values`, with a bracket of
+    the scale ``sigma_1^2``; ``None`` when the bound cannot settle the count.
+
+    Each ``sigma_j`` lies in ``[s_j - r, s_j + r]`` and past ``width`` in
+    ``[0, r]``.  The lower end is ``s_j - r`` rather than ``s_j``: the
+    computed ``s_j`` may exceed ``sigma_j`` by round-off, which ``r``
+    covers.  A value counts once its whole bracket clears the threshold at
+    every scale in the bracket, and every value must be settled either way.
+    """
+    s, r = sketched_singular_values(h, width)
+    lo = np.maximum(s - r, 0.0) ** 2
+    hi = (s + r) ** 2
+    scale = (max(lo[0], 1e-300), max(hi[0], 1e-300))
+    above = lo > tol * scale[1]
+    below = hi <= tol * scale[0]
+    if not np.all(above | below) or r * r > tol * scale[0]:
+        return None
+    return int(np.sum(above)), scale
+
+
 def rank_conservation_check(traj: TrajectoryRecord, d: int, tol: float = 1e-8) -> bool:
     """True iff the ranks prescribed by the class V(d) hold at every snapshot.
 
     ``d = 2N`` requires ``rank H = rank K = N``; ``d = 2N+1`` requires
     ``rank H = N+1`` and ``rank K = N``.  Eigenvalues beyond the rank must
-    stay below ``tol`` relative to the leading eigenvalue.  The K values come
-    from the record's per-snapshot cache, so after ``k2_spectra`` has been
-    read only the H singular values are computed here, and the check stops
-    at the first failing snapshot.
+    stay below ``tol`` relative to the leading eigenvalue of ``H^2``.
+
+    The H rank comes from a sketch: the top ``rank H + 4`` singular values
+    of ``H`` and a bound ``r`` on their distance to the true ones (see
+    :func:`~quadszego.operators.sketched_singular_values`), which also
+    brackets the scale.  The K values are the record's dense, cached ones,
+    counted at both ends of that bracket; they stay dense because
+    ``k2_spectra`` and the CSV artifact are pinned to ``svdvals`` and read
+    the same cache.  When the bound leaves any count open, or the sketch
+    would be as wide as ``H``, the snapshot takes every singular value of
+    ``H`` instead, so the decisions are those of the dense route.  ``H``
+    comes first and the check stops at the first failing snapshot, so a
+    failing check computes no K values past it.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if d < 0:
+        raise ValueError("d must be >= 0")
     if d == 0:
         return not any(state.norm() > tol for state in traj.states)
     n = d // 2
     want_h, want_k = (n, n) if d % 2 == 0 else (n + 1, n)
+    width = want_h + _SKETCH_OVERSAMPLE
     for i, state in enumerate(traj.states):
-        h_eigs = np.linalg.svdvals(hankel(state)) ** 2
+        h = hankel(state)
+        sketch = _sketched_rank(h, width, tol) if width < len(h) else None
+        if sketch is not None:
+            rank_h, scales = sketch
+            if rank_h != want_h:
+                return False
+            k_eigs = traj._k_singular_values_at(i) ** 2
+            rank_k = {int(np.sum(k_eigs > tol * scale)) for scale in scales}
+            if len(rank_k) == 1:
+                if rank_k.pop() != want_k:
+                    return False
+                continue
+        h_eigs = np.linalg.svdvals(h) ** 2
         scale = max(h_eigs[0], 1e-300)
         if int(np.sum(h_eigs > tol * scale)) != want_h:
             return False

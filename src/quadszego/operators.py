@@ -36,6 +36,7 @@ __all__ = [
     "hankel",
     "shifted_hankel",
     "toeplitz",
+    "sketched_singular_values",
     "a_u",
     "SpectralReport",
     "spectral_report",
@@ -92,6 +93,31 @@ def toeplitz(symbol_two_sided: np.ndarray, size: int) -> np.ndarray:
     col[:npos] = arr[m : m + npos]
     row[:npos] = arr[m::-1][:npos]
     return _toeplitz(col, row)
+
+
+def sketched_singular_values(h: np.ndarray, width: int) -> tuple[np.ndarray, float]:
+    """The top ``width`` singular values ``s`` of an ``M x M`` matrix ``h``,
+    read off its first ``width`` columns, with a bound ``r`` on their error.
+
+    ``q`` is the orthonormal factor of those columns and ``s`` are the
+    singular values of ``b = q^H h``.  Since ``h = q b + (h - q b)``, Weyl's
+    inequality gives ``|sigma_j(h) - s_j| <= r`` for every ``j``, with
+    ``s_j = 0`` past ``width``, where ``r = ||h - q b||_F`` plus a round-off
+    allowance of ``8 M eps ||h||_F``: the computed ``q``, ``b``, ``s`` and
+    residual each carry an error of order ``M eps ||h||``.  In exact
+    arithmetic also ``s_j <= sigma_j(h)``.  A Hankel matrix of a state close
+    to rank ``N`` is spanned, up to that closeness, by its first ``N``
+    columns, so for ``width`` a little above ``N`` the bound ``r`` is small.
+    """
+    m = h.shape[1]
+    if not 1 <= width <= m:
+        raise ValueError(f"need 1 <= width <= {m}, got {width}")
+    q = np.linalg.qr(h[:, :width])[0]
+    b = q.conj().T @ h
+    s = np.linalg.svdvals(b)
+    h_norm = np.linalg.norm(h)
+    r = float(np.linalg.norm(h - q @ b)) + 8 * m * np.finfo(float).eps * h_norm
+    return s, r
 
 
 def a_u(u: HardyCoefficients, size: int | None = None) -> np.ndarray:

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import rhs
+from .dynamics import _j_and_rhs, rhs
 from .errors import ExtendedPrecisionUnavailable, PoleOutsideDisc
-from .hardy import HardyCoefficients, conserved, pairwise_j, quadratic_products
+from .hardy import HardyCoefficients, conserved, quadratic_products
 
 __all__ = [
     "SteadyV3Params",
@@ -172,11 +172,13 @@ def steadiness_measure(
     default once the needed truncation passes 50k modes) therefore evaluates
     the constants and the coefficients in 80-bit precision and rounds each
     coefficient once to double.  That rounding is an unstructured error of
-    size ``eps ||u||``, not a move along the family, so ``u^2``, ``Pi(|u|^2)``,
-    ``J`` and the flow are double-precision products, as on the double path.
-    ``J`` is summed pairwise (:func:`~quadszego.hardy.pairwise_j`): at
-    millions of modes a BLAS dot product's round-off alone exceeds the 1e-11
-    gate on the flow norm.
+    size ``eps ||u||``, not a move along the family, so ``J`` and the flow
+    are double-precision products, as on the double path.  Both come from
+    the flow's right-hand side (:func:`~quadszego.dynamics._j_and_rhs`), one
+    FFT pair on the sample grid: ``J`` is the pairwise grid mean of
+    ``|u|^2 u``, because at millions of modes a BLAS dot product's round-off
+    alone exceeds the 1e-11 gate on the flow norm, and ``rhs_norm`` is the
+    norm of the ``trunc`` kept flow modes.
     Without ``np.float128`` it raises :class:`ExtendedPrecisionUnavailable`
     up front.
     """
@@ -189,10 +191,8 @@ def steadiness_measure(
         coeffs = _family_coefficients_ld(params, tr).astype(np.complex128)
     else:
         coeffs = build_steady(params, tr).coeffs
-    u2, abs2 = quadratic_products(coeffs, tr)
-    j = pairwise_j(coeffs, u2)
-    # i du/dt = 2 J Pi(|u|^2) + conj(J) u^2; the factor i leaves the norm
-    rhs_norm = float(np.linalg.norm(2.0 * j * abs2 + np.conj(j) * u2))
+    j, flow = _j_and_rhs(coeffs)
+    rhs_norm = float(np.linalg.norm(flow))
     return SteadinessMeasure(abs_j=float(abs(j)), rhs_norm=rhs_norm, trunc=tr, extended=extended)
 
 

@@ -157,8 +157,9 @@ def test_rank_check_reuses_k_singular_values(monkeypatch):
     calls = _count_svdvals(monkeypatch)
     assert rank_conservation_check(traj, 3)
     assert len(calls) == len(traj.times)
-    # every call was on H; K came from the cache
-    assert all(np.array_equal(a, hankel(state)) for a, state in zip(calls, traj.states))
+    # no call was on K; K came from the cache
+    k_matrices = [shifted_hankel(state) for state in traj.states]
+    assert not any(a.shape == k.shape and np.array_equal(a, k) for a in calls for k in k_matrices)
     traj.k2_spectra
     assert len(calls) == len(traj.times)
 
@@ -185,6 +186,93 @@ def test_k2_spectra_compute_only_missing_k_values(monkeypatch):
     spectra = traj.k2_spectra
     assert len(calls) == 2 + len(traj.times) - 1
     assert np.array_equal(spectra[0], np.linalg.svdvals(shifted_hankel(traj.states[0]))[:4] ** 2)
+
+
+def _dense_rank_check(traj, d: int, tol: float = 1e-8) -> bool:
+    """Reference: every singular value of H and K at each snapshot; the K
+    values are the record's, which equal ``svdvals`` bit for bit."""
+    if d == 0:
+        return not any(state.norm() > tol for state in traj.states)
+    n = d // 2
+    want_h, want_k = (n, n) if d % 2 == 0 else (n + 1, n)
+    for state, k_sv in zip(traj.states, traj.k_singular_values):
+        h_eigs = np.linalg.svdvals(hankel(state)) ** 2
+        k_eigs = k_sv**2
+        scale = max(h_eigs[0], 1e-300)
+        if int(np.sum(h_eigs > tol * scale)) != want_h or int(np.sum(k_eigs > tol * scale)) != want_k:
+            return False
+    return True
+
+
+def _rational_state(seed: int, n_poles: int, m: int = 256) -> HardyCoefficients:
+    """Unit-mass ``sum_j a_j / (1 - p_j z)`` in V(2N), poles spread in angle."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(m)
+    poles = rng.uniform(0.35, 0.55, n_poles) * np.exp(2j * np.pi * (rng.uniform() + np.arange(n_poles) / n_poles))
+    amps = rng.uniform(0.7, 1.3, n_poles) * np.exp(2j * np.pi * rng.uniform(size=n_poles))
+    coeffs = sum(a * p**k for a, p in zip(amps, poles))
+    return HardyCoefficients(coeffs / np.linalg.norm(coeffs))
+
+
+def _rank_check_cases() -> dict:
+    monitor = SimulationConfig(dt=1e-3, t_final=0.2, trunc=256, monitor_stride=10)  # 200 RK4 steps
+    short = SimulationConfig(dt=1e-4, t_final=2e-3, trunc=256, monitor_stride=10, tol_drift=1e-2)
+    rng = np.random.default_rng(11)
+    k = np.arange(256)
+    cases = {f"V({2 * n})": (_rational_state(n, n), monitor) for n in (1, 2, 3)}
+    cases["criterion 5"] = (HardyCoefficients(2.0 * 0.4**k - 0.2**k), monitor)
+    cases["|p| = 0.9"] = (HardyCoefficients((0.9 * np.exp(0.7j)) ** k), short)
+    cases["full rank"] = (HardyCoefficients((rng.standard_normal(256) + 1j * rng.standard_normal(256)) / 23.0), short)
+    trunc8 = SimulationConfig(dt=1e-3, t_final=0.05, trunc=8, monitor_stride=10)
+    cases["trunc 8"] = (HardyCoefficients(0.5 ** np.arange(8)), trunc8)
+    return cases
+
+
+_RANK_CHECK_CASES = _rank_check_cases()
+
+
+@pytest.mark.parametrize("case", list(_RANK_CHECK_CASES))
+def test_rank_check_decisions_match_dense_route(case):
+    traj = integrate(*_RANK_CHECK_CASES[case])
+    decisions = [rank_conservation_check(traj, d) for d in range(9)]
+    assert decisions == [_dense_rank_check(traj, d) for d in range(9)]
+
+
+def test_rank_check_takes_no_dense_h_on_criterion5(monkeypatch):
+    traj = _criterion5_trajectory()
+    traj.k2_spectra
+    calls = _count_svdvals(monkeypatch)
+    assert rank_conservation_check(traj, 4)
+    # one sketch of rank H + 4 = 6 rows per snapshot, no 256 x 256 H
+    assert [a.shape for a in calls] == [(6, 256)] * len(traj.times)
+
+
+def test_rank_check_falls_back_to_dense_near_threshold(monkeypatch):
+    # tol puts the threshold within 1e-12 of sigma_2(H)^2 / sigma_1(H)^2,
+    # inside the sketch's error bound, so the check must take every value of H
+    u0 = HardyCoefficients(2.0 * 0.4 ** np.arange(256) - 0.2 ** np.arange(256))
+    traj = integrate(u0, SimulationConfig(dt=1e-3, t_final=0.0, trunc=256))
+    h = hankel(traj.states[0])
+    sigma = np.linalg.svdvals(h)
+    edge = (sigma[1] / sigma[0]) ** 2
+    calls = _count_svdvals(monkeypatch)
+    for d in (2, 3):
+        answers = set()
+        for tol in (edge * (1 - 1e-12), edge * (1 + 1e-12)):
+            dense = _dense_rank_check(traj, d, tol)
+            calls.clear()
+            assert rank_conservation_check(traj, d, tol) == dense
+            assert any(np.array_equal(a, h) for a in calls)
+            answers.add(dense)
+        assert answers == {True, False}  # the threshold really sits at sigma_2
+
+
+@pytest.mark.parametrize("kwargs", [{"d": 2, "tol": 0.0}, {"d": 2, "tol": -1e-8}, {"d": -1}, {"d": 0, "tol": 0.0}])
+def test_rank_check_rejects_bad_arguments(kwargs):
+    # with tol = 0 round-off would count toward the rank
+    traj = _v3_trajectory()
+    with pytest.raises(ValueError):
+        rank_conservation_check(traj, **kwargs)
 
 
 def test_cached_spectra_are_read_only():

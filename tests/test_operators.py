@@ -10,6 +10,7 @@ from quadszego.operators import (
     a_u,
     hankel,
     shifted_hankel,
+    sketched_singular_values,
     spectral_report,
     toeplitz,
     verify_au_minus_d,
@@ -159,6 +160,34 @@ def test_spectra_descending_and_nonnegative():
     spectra = integrate(u, cfg).k2_spectra
     assert spectra.min() >= 0
     assert np.all(np.diff(spectra, axis=1) <= 0)
+
+
+@pytest.mark.parametrize(
+    "make_state",
+    [
+        lambda: random_state(np.random.default_rng(9), m=24),
+        lambda: geometric(1.0, 0.9 * np.exp(0.7j), 256),
+        lambda: HardyCoefficients(2.0 * 0.4 ** np.arange(256) - 0.2 ** np.arange(256)),
+        evolved_two_pole_state,
+    ],
+    ids=["random24", "pole0.9", "criterion5", "evolved_v4"],
+)
+def test_sketched_singular_values_bound_holds(make_state):
+    h = hankel(make_state())
+    sigma = np.linalg.svdvals(h)
+    for width in (1, 2, 3, 6, 10, len(sigma)):
+        s, r = sketched_singular_values(h, width)
+        assert s.shape == (width,)
+        top = np.zeros_like(sigma)
+        top[:width] = s
+        assert np.all(np.abs(sigma - top) <= r), width
+
+
+def test_sketched_singular_values_rejects_bad_width():
+    h = hankel(geometric(1.0, 0.5, 8))
+    for width in (0, 9):
+        with pytest.raises(ValueError):
+            sketched_singular_values(h, width)
 
 
 # ---------------------------------------------------------------- ranks & dominance
