@@ -114,11 +114,15 @@ def _cmd_verify_tw(args) -> int:
     tol = float(_resolve(args, config, "tol", 1e-9))
     if args.grid:
         jobs = int(_resolve(args, config, "jobs", 1))
+        if jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {jobs}")
+        grid = acceptance.tw_grid()
         if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(acceptance.tw_residual, acceptance.tw_grid()))  # merged in parameter order
+            # the fork start method starts every worker up front: cap at the grid size
+            with ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
+                rows = list(pool.map(acceptance.tw_residual, grid))  # merged in parameter order
         else:
-            rows = [acceptance.tw_residual(job) for job in acceptance.tw_grid()]
+            rows = [acceptance.tw_residual(job) for job in grid]
     else:
         family = _resolve(args, config, "family", "I")
         lam = complex(_resolve(args, config, "lambda_re", 1.0), _resolve(args, config, "lambda_im", 0.0))

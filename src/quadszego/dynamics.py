@@ -3,10 +3,10 @@
 The truncated equation is a smooth, non-stiff ODE on the first ``trunc``
 Fourier coefficients; classical fixed-step RK4 is used and the conservation
 monitors catch inadequate resolution.  Each RK4 stage evaluates the whole
-right-hand side on the sample grid of :func:`~quadszego.hardy.grid_values`:
-one inverse FFT samples the state, ``J(u)`` is the grid mean of
-``|u|^2 u``, and one forward FFT returns the first ``trunc`` modes, so the
-state dimension stays fixed and nothing aliases onto a kept mode.
+right-hand side with :func:`~quadszego.hardy.j_and_flow`: one inverse FFT
+samples the state, ``J(u)`` is the grid mean of ``|u|^2 u``, and one forward
+FFT returns the first ``trunc`` modes, so the state dimension stays fixed and
+nothing aliases onto a kept mode.
 
 Invariants are recorded during integration, because their drift aborts it.
 The K^2 spectra are not: a :class:`TrajectoryRecord` computes them on first
@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from .errors import DriftExceeded, NonFiniteState
-from .hardy import ConservedTriple, HardyCoefficients, conserved, grid_values
+from .hardy import ConservedTriple, HardyCoefficients, conserved, j_and_flow
 from .operators import hankel, shifted_hankel, sketched_singular_values
 
 __all__ = [
@@ -115,48 +114,22 @@ class TrajectoryRecord:
         return out
 
 
-def _j_and_rhs(c: np.ndarray) -> tuple[complex, np.ndarray]:
-    """``J = (u^2|u)`` and d/dt of the coefficient vector: the flow reads
-    ``i du/dt = 2 J Pi(|u|^2) + conj(J) u^2``.
-
-    ``u`` is sampled as ``v`` on the grid of
-    :func:`~quadszego.hardy.grid_values` (``L >= 2M-1`` points).  There ``J``
-    is the mean of ``|v|^2 v``, summed pairwise, exact because no nonzero
-    frequency of ``u^2 conj(u)`` is a multiple of ``L``.  The kept modes
-    ``0..M-1`` of ``-i (2 J |v|^2 + conj(J) v^2)`` then come from one forward
-    FFT, alias-free on the same grid; ``Pi`` needs no extra step, since the
-    negative modes of ``|u|^2`` are simply not kept.
-    """
-    v = grid_values(c)
-    abs2 = v.real**2
-    abs2 += v.imag**2
-    j = np.sum(abs2 * v) / len(v)
-    v *= v
-    v *= -1j * np.conj(j)
-    v += (-2j * j) * abs2
-    return j, scipy.fft.fft(v, norm="forward", overwrite_x=True)[: len(c)]
-
-
-def _rhs_array(c: np.ndarray) -> np.ndarray:
-    """d/dt of the coefficient vector, from :func:`_j_and_rhs`."""
-    return _j_and_rhs(c)[1]
-
-
 def rhs(u: HardyCoefficients) -> HardyCoefficients:
     """Right-hand side of the flow, truncated to ``u.trunc``."""
-    return HardyCoefficients(_rhs_array(u.coeffs))
+    return HardyCoefficients(j_and_flow(u.coeffs)[1])
 
 
 def integrate(u0: HardyCoefficients, cfg: SimulationConfig) -> TrajectoryRecord:
     """Fixed-step RK4 trajectory from ``u0`` with monitors.
 
     Each of the four stages of a step costs one inverse and one forward FFT
-    of length ``next_fast_len(2 trunc - 1)`` (see :func:`_rhs_array`).
-    Snapshots (state and invariants) are taken every ``cfg.monitor_stride``
-    steps (plus the final step); their K^2 spectra are left to the record,
-    which computes them on first read.  Raises :class:`NonFiniteState` if a
-    coefficient leaves the finite range and :class:`DriftExceeded` if an
-    invariant drifts beyond ``cfg.tol_drift`` relative to its t=0 value.
+    of length ``next_fast_len(2 trunc - 1)`` (see
+    :func:`~quadszego.hardy.j_and_flow`).  Snapshots (state and invariants)
+    are taken every ``cfg.monitor_stride`` steps (plus the final step); their
+    K^2 spectra are left to the record, which computes them on first read.
+    Raises :class:`NonFiniteState` if a coefficient leaves the finite range
+    and :class:`DriftExceeded` if an invariant drifts beyond
+    ``cfg.tol_drift`` relative to its t=0 value.
     """
     dt = cfg.dt
     n_steps = int(round(cfg.t_final / dt))
@@ -191,10 +164,10 @@ def integrate(u0: HardyCoefficients, cfg: SimulationConfig) -> TrajectoryRecord:
     # below turns that into NonFiniteState
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
-            k1 = _rhs_array(c)
-            k2 = _rhs_array(c + 0.5 * dt * k1)
-            k3 = _rhs_array(c + 0.5 * dt * k2)
-            k4 = _rhs_array(c + dt * k3)
+            _, k1 = j_and_flow(c)
+            _, k2 = j_and_flow(c + 0.5 * dt * k1)
+            _, k3 = j_and_flow(c + 0.5 * dt * k2)
+            _, k4 = j_and_flow(c + dt * k3)
             c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(c)):
                 raise NonFiniteState(f"non-finite coefficient at step {step}")

@@ -12,13 +12,13 @@ Conventions
   Lebesgue measure on the circle, Parseval);
 * the flow's products ``u^2`` and ``Pi(|u|^2)`` come from one alias-free FFT
   kernel, :func:`quadratic_products`, exact up to round-off in ``||u||^2``;
-  it and the flow's right-hand side sample ``u`` on the grid that
-  :func:`grid_values` chooses; :func:`multiply` is an exact full-length
-  (direct) convolution; callers truncate afterwards when they need a fixed
-  state dimension;
-* conjugation maps the coefficient at index ``k`` to its conjugate at ``-k``
-  on a two-sided scratch buffer; the projector then re-extracts indices
-  ``>= 0``.
+  :func:`multiply` is an exact full-length (direct) convolution; callers
+  truncate afterwards when they need a fixed state dimension;
+* ``J = (u^2|u)`` is computed in one place, :func:`j_and_flow`, which also
+  returns the flow's right-hand side; :func:`conserved`, the integrator, the
+  traveling-wave residual and the equilibrium checks all take ``J`` from it.
+  Both FFT routines sample ``u`` on the grid that :func:`grid_values`
+  chooses.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ __all__ = [
     "conserved",
     "grid_values",
     "quadratic_products",
-    "pairwise_j",
+    "j_and_flow",
 ]
 
 
@@ -90,15 +90,27 @@ def quadratic_products(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u2, pi_abs2
 
 
-def pairwise_j(c: np.ndarray, u2: np.ndarray) -> complex:
-    """``J = (u^2|u)`` from the ``M`` coefficients ``c`` of ``u`` and at least
-    ``M`` modes of ``u^2``.
+def j_and_flow(c: np.ndarray) -> tuple[complex, np.ndarray]:
+    """``J = (u^2|u)`` and d/dt of the coefficient vector ``c``: the flow
+    reads ``i du/dt = 2 J Pi(|u|^2) + conj(J) u^2``.
 
-    The sum is pairwise (``np.sum``), not a BLAS dot: at millions of modes a
-    single-threaded dot carried sixteen times the round-off, and a dot's
-    result changes with the BLAS thread count.
+    ``u`` is sampled as ``v`` on the grid of :func:`grid_values`
+    (``L >= 2M-1`` points).  There ``J`` is the mean of ``|v|^2 v``, summed
+    pairwise, exact because no nonzero frequency of ``u^2 conj(u)`` is a
+    multiple of ``L``; a BLAS dot product's round-off at millions of modes
+    would exceed the equilibrium certificate's 1e-11 gate.  The kept modes
+    ``0..M-1`` of ``-i (2 J |v|^2 + conj(J) v^2)`` then come from one
+    forward FFT, alias-free on the same grid; ``Pi`` needs no extra step,
+    since the negative modes of ``|u|^2`` are simply not kept.
     """
-    return np.sum(u2[: len(c)] * np.conj(c))
+    v = grid_values(c)
+    abs2 = v.real**2
+    abs2 += v.imag**2
+    j = np.sum(abs2 * v) / len(v)
+    v *= v
+    v *= -1j * np.conj(j)
+    v += (-2j * j) * abs2
+    return j, scipy.fft.fft(v, norm="forward", overwrite_x=True)[: len(c)]
 
 
 @dataclass(frozen=True)
@@ -282,13 +294,11 @@ def conserved(u: HardyCoefficients) -> ConservedTriple:
     """Mass, momentum, energy and the functional J of a state.
 
     ``Q = sum |u_hat|^2``, ``M = sum k |u_hat|^2``,
-    ``J = sum_{k,l} u_hat(k) u_hat(l) conj(u_hat(k+l)) = (u^2|u)`` and
-    ``E = |J|^2 / 2``.
+    ``J = sum_{k,l} u_hat(k) u_hat(l) conj(u_hat(k+l)) = (u^2|u)`` (from
+    :func:`j_and_flow`) and ``E = |J|^2 / 2``.
     """
-    c = u.coeffs
-    absq = np.abs(c) ** 2
+    absq = np.abs(u.coeffs) ** 2
     q = float(np.sum(absq))
     mom = float(np.sum(np.arange(u.trunc) * absq))
-    u2, _ = quadratic_products(c, u.trunc)
-    j = complex(pairwise_j(c, u2))
+    j = complex(j_and_flow(u.coeffs)[0])
     return ConservedTriple(Q=q, M=mom, E=0.5 * abs(j) ** 2, J=j)

@@ -23,7 +23,8 @@ separate branch.
 
 Near the endpoint the zero-J condition is ill-conditioned in the constants,
 so :func:`steadiness_measure` takes the constants and the coefficients from
-80-bit arithmetic there.  The quadratic products stay double precision: a
+80-bit arithmetic there.  ``J`` and the flow stay double precision and come
+from :func:`~quadszego.hardy.j_and_flow`, the one place ``J`` is computed: a
 coefficient rounded to double after the fact carries an unstructured error
 of size ``eps ||u||``, which moves ``J`` by round-off only.
 """
@@ -36,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _j_and_rhs, rhs
 from .errors import ExtendedPrecisionUnavailable, PoleOutsideDisc
-from .hardy import HardyCoefficients, conserved, quadratic_products
+from .hardy import HardyCoefficients, j_and_flow, quadratic_products
 
 __all__ = [
     "SteadyV3Params",
@@ -174,10 +174,8 @@ def steadiness_measure(
     coefficient once to double.  That rounding is an unstructured error of
     size ``eps ||u||``, not a move along the family, so ``J`` and the flow
     are double-precision products, as on the double path.  Both come from
-    the flow's right-hand side (:func:`~quadszego.dynamics._j_and_rhs`), one
-    FFT pair on the sample grid: ``J`` is the pairwise grid mean of
-    ``|u|^2 u``, because at millions of modes a BLAS dot product's round-off
-    alone exceeds the 1e-11 gate on the flow norm, and ``rhs_norm`` is the
+    :func:`~quadszego.hardy.j_and_flow`, one FFT pair on the sample grid:
+    ``J`` is the pairwise grid mean of ``|u|^2 u``, and ``rhs_norm`` is the
     norm of the ``trunc`` kept flow modes.
     Without ``np.float128`` it raises :class:`ExtendedPrecisionUnavailable`
     up front.
@@ -191,7 +189,7 @@ def steadiness_measure(
         coeffs = _family_coefficients_ld(params, tr).astype(np.complex128)
     else:
         coeffs = build_steady(params, tr).coeffs
-    j, flow = _j_and_rhs(coeffs)
+    j, flow = j_and_flow(coeffs)
     rhs_norm = float(np.linalg.norm(flow))
     return SteadinessMeasure(abs_j=float(abs(j)), rhs_norm=rhs_norm, trunc=tr, extended=extended)
 
@@ -200,17 +198,18 @@ def is_steady(u: HardyCoefficients, tol: float = 1e-11) -> bool:
     """Whether ``u`` is an equilibrium: ``|J(u)| < tol``.
 
     Equilibria are exactly the zero-J states, so this is equivalent to a
-    vanishing flow derivative; both routes are evaluated and must agree (the
-    derivative bound is ``|J| (2 ||Pi|u|^2|| + ||u^2||)``, checked with a 10x
-    slack to absorb round-off).
+    vanishing flow derivative.  ``J`` and the flow come from one
+    :func:`~quadszego.hardy.j_and_flow` call; the flow norm must stay under
+    ``|J| (2 ||Pi|u|^2|| + ||u^2||)``, with the norms taken independently
+    from :func:`~quadszego.hardy.quadratic_products` and a 10x slack to
+    absorb round-off.
     """
-    j = conserved(u).J
-    flow = rhs(u)
+    j, flow = j_and_flow(u.coeffs)
     u2, abs2 = quadratic_products(u.coeffs, 2 * u.trunc - 1)
     norm_scale = 2.0 * np.linalg.norm(abs2) + np.linalg.norm(u2)
-    if flow.norm() > abs(j) * norm_scale * 10.0 + 1e-13:
+    if np.linalg.norm(flow) > abs(j) * norm_scale * 10.0 + 1e-13:
         raise AssertionError("flow-derivative route disagrees with the J route")
-    return abs(j) < tol
+    return bool(abs(j) < tol)
 
 
 def explicit_example(trunc: int = 512) -> HardyCoefficients:

@@ -192,8 +192,10 @@ def v3_integrate(
     shape; the run ends at the first sample where it holds, and the solver
     never gets further than one step past it.  Raises
     :class:`DegenerateState` near ``|p| = 1`` or ``c = 0``, checked at every
-    right-hand-side evaluation.
+    right-hand-side evaluation, and ``ValueError`` up front for ``dt == 0``.
     """
+    if dt == 0:
+        raise ValueError("dt must be nonzero")
     n_steps = int(round(abs(t_final) / abs(dt)))
     h = math.copysign(abs(dt), t_final)
     d0 = derived(s0)

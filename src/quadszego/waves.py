@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeasureMismatch, TruncationTooSmall
-from .hardy import HardyCoefficients, apply_D, pairwise_j, quadratic_products
+from .hardy import HardyCoefficients, apply_D, j_and_flow, quadratic_products
 
 __all__ = [
     "TravelingWaveSpec",
@@ -117,11 +117,12 @@ def build_profile(spec: TravelingWaveSpec, trunc: int) -> HardyCoefficients:
 
 def residual_traveling(v0: HardyCoefficients, omega: float, c: float) -> float:
     """L2 residual of the traveling-wave equation for initial data ``v0``:
-    ``omega v0 + c D v0 - 2 J0 Pi(|v0|^2) - conj(J0) v0^2`` with ``J0 = J(v0)``,
-    evaluated at full padded length."""
+    ``omega v0 + c D v0 - 2 J0 Pi(|v0|^2) - conj(J0) v0^2`` with ``J0 = J(v0)``
+    from :func:`~quadszego.hardy.j_and_flow`, evaluated at full padded
+    length."""
     m = v0.trunc
+    j0, _ = j_and_flow(v0.coeffs)
     u2, abs2 = quadratic_products(v0.coeffs, 2 * m - 1)
-    j0 = pairwise_j(v0.coeffs, u2)
     res = -(2.0 * j0 * abs2 + np.conj(j0) * u2)
     res[:m] += omega * v0.coeffs + c * apply_D(v0).coeffs
     return float(np.linalg.norm(res))

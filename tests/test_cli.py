@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from quadszego import acceptance, cli
 from quadszego.cli import main
 from quadszego.hardy import HardyCoefficients
 from quadszego.operators import shifted_hankel
@@ -37,6 +38,37 @@ def test_verify_tw_grid_jobs_merge_deterministic(tmp_path):
     assert main(["verify-tw", "--grid", "--out", str(a)]) == 0
     assert main(["verify-tw", "--grid", "--jobs", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_tw_grid_jobs_capped_at_grid_size(tmp_path, monkeypatch):
+    # a stand-in pool records its size and maps in-process, so no worker starts
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["verify-tw", "--grid", "--out", str(a)]) == 0
+    assert main(["verify-tw", "--grid", "--jobs", "1000", "--out", str(b)]) == 0
+    assert sizes == [len(acceptance.tw_grid())] == [36]
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_tw_grid_jobs_below_one_is_usage_error(jobs, capsys):
+    assert main(["verify-tw", "--grid", "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_gn_check_deterministic_artifacts(tmp_path):
@@ -149,6 +181,12 @@ def test_usage_error_exit_two(capsys):
 def test_missing_state_file_exit_two(tmp_path, capsys):
     code = main(["spectral", "--state", str(tmp_path / "absent.json")])
     assert code == 2
+
+
+def test_instability_zero_dt_is_usage_error(capsys):
+    code = main(["instability", "--r", "0.25", "--gamma", "0.05", "--dt", "0", "--t-final", "1"])
+    assert code == 2
+    assert "dt must be nonzero" in capsys.readouterr().err
 
 
 def test_trajectory_too_short_is_check_failure(capsys):

@@ -15,7 +15,7 @@ from quadszego.dynamics import (
     trajectory_to_jsonl,
 )
 from quadszego.errors import DriftExceeded, NonFiniteState
-from quadszego.hardy import HardyCoefficients, apply_D, pairwise_j, quadratic_products
+from quadszego.hardy import HardyCoefficients, apply_D, quadratic_products
 from quadszego.operators import hankel, shifted_hankel
 from quadszego.v3 import V3State, embed
 from quadszego.waves import TravelingWaveSpec, build_profile
@@ -34,7 +34,7 @@ def test_rhs_matches_quadratic_products(m):
     c = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * 0.99 ** np.arange(m)
     c /= np.linalg.norm(c)
     u2, abs2 = quadratic_products(c, m)
-    j = pairwise_j(c, u2)
+    j = np.sum(u2 * np.conj(c))  # J = (u^2|u) summed over coefficients
     expected = -1j * (2.0 * j * abs2 + np.conj(j) * u2)
     assert np.max(np.abs(rhs(HardyCoefficients(c)).coeffs - expected)) < 1e-14
 

@@ -6,7 +6,7 @@ import pytest
 
 from quadszego.dynamics import rhs
 from quadszego.errors import ExtendedPrecisionUnavailable, QuadSzegoError
-from quadszego.hardy import HardyCoefficients, conserved, quadratic_products
+from quadszego.hardy import HardyCoefficients, conserved, j_and_flow, quadratic_products
 from quadszego.steady import (
     SteadyV3Params,
     _family_coefficients_ld,
@@ -128,14 +128,14 @@ def test_extended_measure_matches_all_80_bit_products():
 @needs_float128
 def test_conserved_j_sums_pairwise_at_millions_of_modes():
     # a BLAS dot product read 6.5e-13 here on one thread (3.1e-14 on two);
-    # the pairwise sum reads 4.1e-14 whatever the BLAS threading
+    # the kernel's pairwise grid mean reads 4.1e-14 whatever the BLAS threading
     theta = float(STEADY_GRID[49])
     params = SteadyV3Params(scale=1.0, a=0.0, b_angle=0.0, theta=theta)
     u = HardyCoefficients(_family_coefficients_ld(params, suggested_trunc(theta)).astype(np.complex128))
     assert u.trunc == 2_464_553
     j = conserved(u).J
-    u2, _ = quadratic_products(u.coeffs, u.trunc)
-    assert j == np.sum(u2 * np.conj(u.coeffs))
+    assert j == j_and_flow(u.coeffs)[0]
+    assert abs(j) == steadiness_measure(params).abs_j
     assert abs(j) < 1e-13
     assert is_steady(u, tol=1e-13)
 

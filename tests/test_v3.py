@@ -255,6 +255,11 @@ def test_v3_integrate_raises_near_degenerate():
         v3_integrate(V3State(b=1.0, c=1e-15, p=0.1), 1e-4, 0.1)
 
 
+def test_v3_integrate_rejects_zero_dt():
+    with pytest.raises(ValueError, match="dt must be nonzero"):
+        v3_integrate(V3State(b=0.3 + 0.1j, c=1.0, p=0.4), 0.0, 1.0)
+
+
 def test_v3_drift_values_are_floats():
     tr = v3_integrate(V3State(b=0.3 + 0.1j, c=1.0, p=0.4), 1e-3, 0.5, stride=100)
     assert set(tr.drift) == {"Q", "M", "Ecal"}
