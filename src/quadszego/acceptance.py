@@ -29,20 +29,33 @@ __all__ = ["CheckResult", "run_all", "CRITERIA"]
 
 @dataclass
 class CheckResult:
+    """Outcome of one criterion.
+
+    ``gate`` is the criterion's wall-clock gate in seconds, or ``None``
+    where it has none; a result whose ``runtime`` reaches its gate does not
+    pass, whatever ``passed`` was given.
+    """
+
     name: str
     passed: bool
     runtime: float
     details: dict = field(default_factory=dict)
+    gate: float | None = None
+
+    def __post_init__(self):
+        self.passed = bool(self.passed) and (self.gate is None or self.runtime < self.gate)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return f"{status}  {self.name}  ({self.runtime:.1f}s)"
+        budget = "" if self.gate is None else f" of {self.gate:g} s"
+        return f"{status}  {self.name}  ({self.runtime:.1f} s{budget})"
 
     def to_json(self) -> dict:
         return {
             "name": self.name,
             "passed": self.passed,
             "runtime": self.runtime,
+            "gate": self.gate,
             "details": {k: _jsonable(v) for k, v in self.details.items()},
         }
 
@@ -103,12 +116,12 @@ def criterion_1_traveling_wave_certification(quick: bool = False) -> CheckResult
     omega_err = abs(ref.omega - 6.518518518518518)
     c_err = abs(ref.c - 1.7777777777777777)
     runtime = time.time() - t0
-    passed = worst < 1e-9 and omega_err < 1e-12 and c_err < 1e-12 and runtime < 10.0
     return CheckResult(
         "1 traveling-wave certification",
-        passed,
+        worst < 1e-9 and omega_err < 1e-12 and c_err < 1e-12,
         runtime,
         {"worst_residual": worst, "profiles": len(grid), "omega_err": omega_err, "c_err": c_err},
+        gate=10.0,
     )
 
 
@@ -128,9 +141,10 @@ def criterion_2_exact_orbit(quick: bool = False) -> CheckResult:
     runtime = time.time() - t0
     return CheckResult(
         "2 exact-orbit reproduction",
-        err < 1e-6 and runtime < 30.0,
+        err < 1e-6,
         runtime,
         {"max_l2_error": err, "t_final": t_final},
+        gate=30.0,
     )
 
 
@@ -145,9 +159,10 @@ def criterion_3_conservation(quick: bool = False) -> CheckResult:
     runtime = time.time() - t0
     return CheckResult(
         "3 conservation drift",
-        worst < 1e-8 and runtime < 60.0,
+        worst < 1e-8,
         runtime,
         {"drift": dict(traj.drift), "t_final": t_final},
+        gate=60.0,
     )
 
 
@@ -277,12 +292,12 @@ def criterion_7_gagliardo_nirenberg(quick: bool = False) -> CheckResult:
         bound = 0.5 * c.Q**2 * (c.Q + c.M)
         eq_worst = max(eq_worst, abs(c.E - bound) / bound)
     runtime = time.time() - t0
-    passed = violations == 0 and eq_worst < 1e-12 and runtime < 20.0
     return CheckResult(
         "7 Gagliardo-Nirenberg sweep",
-        passed,
+        violations == 0 and eq_worst < 1e-12,
         runtime,
         {"samples": n_samples, "violations": violations, "worst_excess": worst_excess, "equality_gap": eq_worst},
+        gate=20.0,
     )
 
 

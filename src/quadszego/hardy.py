@@ -14,10 +14,13 @@ Conventions
   kernel, :func:`quadratic_products`, exact up to round-off in ``||u||^2``;
   :func:`multiply` is an exact full-length (direct) convolution; callers
   truncate afterwards when they need a fixed state dimension;
-* ``J = (u^2|u)`` is computed in one place, :func:`j_and_flow`, which also
-  returns the flow's right-hand side; :func:`conserved`, the integrator, the
-  traveling-wave residual and the equilibrium checks all take ``J`` from it.
-  Both FFT routines sample ``u`` on the grid that :func:`grid_values`
+* ``J = (u^2|u)`` is computed in one place, the J step that reads the
+  samples of :func:`grid_values`.  :func:`j_and_flow` adds the flow's
+  right-hand side to it, :func:`j_and_products` the products of
+  :func:`quadratic_products`, and :func:`conserved` takes it alone; the
+  integrator, the traveling-wave residual and the equilibrium checks all
+  take ``J`` from one of these, so every caller gets the same ``J`` bit for
+  bit.  Every FFT routine samples ``u`` on the grid that :func:`grid_values`
   chooses.
 """
 
@@ -43,6 +46,7 @@ __all__ = [
     "conserved",
     "grid_values",
     "quadratic_products",
+    "j_and_products",
     "j_and_flow",
 ]
 
@@ -64,6 +68,38 @@ def grid_values(c: np.ndarray) -> np.ndarray:
     return scipy.fft.ifft(v, norm="forward", overwrite_x=True)
 
 
+def _check_product_length(m: int, n: int) -> None:
+    if not 1 <= n <= 2 * m - 1:
+        raise ValueError(f"need 1 <= n <= 2M-1 = {2 * m - 1}, got n={n}")
+
+
+def _j_step(v: np.ndarray) -> tuple[complex, np.ndarray]:
+    """``J = (u^2|u)`` and ``|v|^2`` from the samples ``v`` of
+    :func:`grid_values`.
+
+    ``J`` is the mean of ``|v|^2 v``, summed pairwise, exact because no
+    nonzero frequency of ``u^2 conj(u)`` is a multiple of the grid length; a
+    BLAS dot product's round-off at millions of modes would exceed the
+    equilibrium certificate's 1e-11 gate.  Every ``J`` in the package comes
+    from here, so all callers agree bit for bit.
+    """
+    abs2 = v.real**2
+    abs2 += v.imag**2
+    return np.sum(abs2 * v) / len(v), abs2
+
+
+def _product_pass(v: np.ndarray, abs2: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Modes ``0..n-1`` of ``u^2`` and ``Pi(|u|^2)`` from the samples ``v``
+    and ``|v|^2``: one real FFT of ``|v|^2`` and one FFT of ``v^2``, which
+    squares ``v`` in place."""
+    keep = min(n, m)
+    pi_abs2 = np.zeros(n, dtype=v.dtype)
+    pi_abs2[:keep] = scipy.fft.rfft(abs2, norm="forward")[:keep]
+    v *= v
+    u2 = scipy.fft.fft(v, norm="forward", overwrite_x=True)[:n]
+    return u2, pi_abs2
+
+
 def quadratic_products(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Modes ``0..n-1`` of ``u^2`` and of ``Pi(|u|^2)``, for ``1 <= n <= 2M-1``.
 
@@ -74,20 +110,25 @@ def quadratic_products(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     ``M`` are 0.
     """
     m = len(c)
-    if not 1 <= n <= 2 * m - 1:
-        raise ValueError(f"need 1 <= n <= 2M-1 = {2 * m - 1}, got n={n}")
+    _check_product_length(m, n)
     v = grid_values(c)
-    keep = min(n, m)
-    pi_abs2 = np.zeros(n, dtype=v.dtype)
     # a blowing-up state overflows here; callers check the result for inf/nan
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = v.real**2
-        sq += v.imag**2
-        pi_abs2[:keep] = scipy.fft.rfft(sq, norm="forward")[:keep]
-        del sq
-        v *= v
-    u2 = scipy.fft.fft(v, norm="forward", overwrite_x=True)[:n]
-    return u2, pi_abs2
+        abs2 = v.real**2
+        abs2 += v.imag**2
+        return _product_pass(v, abs2, m, n)
+
+
+def j_and_products(c: np.ndarray, n: int) -> tuple[complex, np.ndarray, np.ndarray]:
+    """``J = (u^2|u)`` with the products of :func:`quadratic_products`, from
+    one inverse FFT: ``J`` is the one :func:`j_and_flow` returns, bit for bit,
+    and the products equal ``quadratic_products(c, n)`` bit for bit."""
+    m = len(c)
+    _check_product_length(m, n)
+    v = grid_values(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        j, abs2 = _j_step(v)
+        return (j, *_product_pass(v, abs2, m, n))
 
 
 def j_and_flow(c: np.ndarray) -> tuple[complex, np.ndarray]:
@@ -95,18 +136,14 @@ def j_and_flow(c: np.ndarray) -> tuple[complex, np.ndarray]:
     reads ``i du/dt = 2 J Pi(|u|^2) + conj(J) u^2``.
 
     ``u`` is sampled as ``v`` on the grid of :func:`grid_values`
-    (``L >= 2M-1`` points).  There ``J`` is the mean of ``|v|^2 v``, summed
-    pairwise, exact because no nonzero frequency of ``u^2 conj(u)`` is a
-    multiple of ``L``; a BLAS dot product's round-off at millions of modes
-    would exceed the equilibrium certificate's 1e-11 gate.  The kept modes
-    ``0..M-1`` of ``-i (2 J |v|^2 + conj(J) v^2)`` then come from one
-    forward FFT, alias-free on the same grid; ``Pi`` needs no extra step,
-    since the negative modes of ``|u|^2`` are simply not kept.
+    (``L >= 2M-1`` points), where ``J`` is the mean of ``|v|^2 v`` (summed
+    pairwise, see :func:`_j_step`).  The kept modes ``0..M-1`` of
+    ``-i (2 J |v|^2 + conj(J) v^2)`` then come from one forward FFT,
+    alias-free on the same grid; ``Pi`` needs no extra step, since the
+    negative modes of ``|u|^2`` are simply not kept.
     """
     v = grid_values(c)
-    abs2 = v.real**2
-    abs2 += v.imag**2
-    j = np.sum(abs2 * v) / len(v)
+    j, abs2 = _j_step(v)
     v *= v
     v *= -1j * np.conj(j)
     v += (-2j * j) * abs2
@@ -294,11 +331,12 @@ def conserved(u: HardyCoefficients) -> ConservedTriple:
     """Mass, momentum, energy and the functional J of a state.
 
     ``Q = sum |u_hat|^2``, ``M = sum k |u_hat|^2``,
-    ``J = sum_{k,l} u_hat(k) u_hat(l) conj(u_hat(k+l)) = (u^2|u)`` (from
-    :func:`j_and_flow`) and ``E = |J|^2 / 2``.
+    ``J = sum_{k,l} u_hat(k) u_hat(l) conj(u_hat(k+l)) = (u^2|u)`` (the
+    one :func:`j_and_flow` returns, from one inverse FFT and no forward FFT)
+    and ``E = |J|^2 / 2``.
     """
     absq = np.abs(u.coeffs) ** 2
     q = float(np.sum(absq))
     mom = float(np.sum(np.arange(u.trunc) * absq))
-    j = complex(j_and_flow(u.coeffs)[0])
+    j = complex(_j_step(grid_values(u.coeffs))[0])
     return ConservedTriple(Q=q, M=mom, E=0.5 * abs(j) ** 2, J=j)

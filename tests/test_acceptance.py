@@ -19,3 +19,26 @@ def test_criterion(criterion):
     print(result.line())
     detail = ", ".join(f"{k}={v}" for k, v in result.details.items())
     assert result.passed, f"{result.name} failed: {detail}"
+
+
+@pytest.mark.parametrize(
+    "criterion, gate",
+    [
+        (acceptance.criterion_1_traveling_wave_certification, 10.0),
+        (acceptance.criterion_2_exact_orbit, 30.0),
+        (acceptance.criterion_3_conservation, 60.0),
+        (acceptance.criterion_7_gagliardo_nirenberg, 20.0),
+    ],
+    ids=lambda x: getattr(x, "__name__", str(x)),
+)
+def test_wall_clock_gate_recorded_and_printed(criterion, gate):
+    result = criterion(quick=True)
+    assert result.gate == gate
+    assert result.line().endswith(f"({result.runtime:.1f} s of {gate:g} s)")
+
+
+def test_runtime_at_gate_fails():
+    assert acceptance.CheckResult("x", True, 0.84, gate=30.0).line() == "PASS  x  (0.8 s of 30 s)"
+    late = acceptance.CheckResult("x", True, 30.0, gate=30.0)
+    assert not late.passed and late.line() == "FAIL  x  (30.0 s of 30 s)"
+    assert acceptance.CheckResult("x", True, 99.0).line() == "PASS  x  (99.0 s)"

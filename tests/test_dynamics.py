@@ -132,15 +132,48 @@ def _count_svdvals(monkeypatch) -> list:
     return calls
 
 
+def _check_k2_rows(traj) -> list:
+    """Every row of ``k2_spectra`` against the squared dense ``svdvals`` of
+    K: bit for bit on a dense snapshot (``r = 0``), within the certified
+    ``(2 sigma_1 + r) r`` on a sketched one, whose ``r`` must be within
+    ``16 M eps ||K||_F``.  Returns each snapshot's ``r``."""
+    n = traj.n_spectrum
+    rs = []
+    for i, (row, state) in enumerate(zip(traj.k2_spectra, traj.states)):
+        k = shifted_hankel(state)
+        sv = np.linalg.svdvals(k)
+        top = sv[:n] ** 2
+        r = traj._k_sketch_at(i)[1]
+        if r == 0:
+            assert np.array_equal(row[: len(top)], top)
+        else:
+            assert r <= 16 * len(k) * np.finfo(float).eps * np.linalg.norm(k)
+            assert np.max(np.abs(row[: len(top)] - top)) <= (2 * sv[0] + r) * r
+        assert not np.any(row[len(top) :])  # zero padding past the 64 values of K
+        rs.append(r)
+    return rs
+
+
 @pytest.mark.parametrize("n_spectrum", [3, 8, 64, 70])
 def test_k2_spectra_match_svdvals_bit_for_bit(n_spectrum):
+    # a sketch of width n_spectrum + 4 < 64 certifies the rank-1 K; wider
+    # ones would be as wide as K, so those snapshots stay dense
     traj = _v3_trajectory(n_spectrum)
     assert traj.k2_spectra.shape == (len(traj.times), n_spectrum)
     assert traj.k2_spectra.dtype == np.float64
-    for row, state in zip(traj.k2_spectra, traj.states):
-        top = np.linalg.svdvals(shifted_hankel(state))[:n_spectrum] ** 2
-        assert np.array_equal(row[: len(top)], top)
-        assert not np.any(row[len(top) :])  # zero padding past the 64 values of K
+    rs = _check_k2_rows(traj)
+    if n_spectrum + 4 < 64:
+        assert all(r > 0 for r in rs)
+    else:
+        assert all(r == 0 for r in rs)
+
+
+def test_k2_spectra_dense_on_full_rank_state():
+    # no sketch spans a full-rank K, so every row is the dense svdvals bit for bit
+    rng = np.random.default_rng(5)
+    u0 = HardyCoefficients((rng.standard_normal(64) + 1j * rng.standard_normal(64)) / 12.0)
+    traj = integrate(u0, SimulationConfig(dt=1e-4, t_final=2e-3, trunc=64, monitor_stride=10, tol_drift=1e-2))
+    assert _check_k2_rows(traj) == [0.0] * len(traj.times)
 
 
 def test_integrate_computes_no_spectrum(monkeypatch):
@@ -185,19 +218,22 @@ def test_k2_spectra_compute_only_missing_k_values(monkeypatch):
     assert len(calls) == 2  # H and K of the first snapshot
     spectra = traj.k2_spectra
     assert len(calls) == 2 + len(traj.times) - 1
-    assert np.array_equal(spectra[0], np.linalg.svdvals(shifted_hankel(traj.states[0]))[:4] ** 2)
+    sv = np.linalg.svdvals(shifted_hankel(traj.states[0]))
+    r = traj._k_sketch_at(0)[1]
+    assert 0 < r <= 16 * 256 * np.finfo(float).eps * np.linalg.norm(sv)
+    assert np.max(np.abs(spectra[0] - sv[:4] ** 2)) <= (2 * sv[0] + r) * r
 
 
 def _dense_rank_check(traj, d: int, tol: float = 1e-8) -> bool:
-    """Reference: every singular value of H and K at each snapshot; the K
-    values are the record's, which equal ``svdvals`` bit for bit."""
+    """Reference: every singular value of H and K at each snapshot, from
+    ``svdvals``, independent of the record's cache."""
     if d == 0:
         return not any(state.norm() > tol for state in traj.states)
     n = d // 2
     want_h, want_k = (n, n) if d % 2 == 0 else (n + 1, n)
-    for state, k_sv in zip(traj.states, traj.k_singular_values):
+    for state in traj.states:
         h_eigs = np.linalg.svdvals(hankel(state)) ** 2
-        k_eigs = k_sv**2
+        k_eigs = np.linalg.svdvals(shifted_hankel(state)) ** 2
         scale = max(h_eigs[0], 1e-300)
         if int(np.sum(h_eigs > tol * scale)) != want_h or int(np.sum(k_eigs > tol * scale)) != want_k:
             return False
@@ -250,8 +286,7 @@ def test_rank_check_takes_no_dense_h_on_criterion5(monkeypatch):
 def test_rank_check_falls_back_to_dense_near_threshold(monkeypatch):
     # tol puts the threshold within 1e-12 of sigma_2(H)^2 / sigma_1(H)^2,
     # inside the sketch's error bound, so the check must take every value of H
-    u0 = HardyCoefficients(2.0 * 0.4 ** np.arange(256) - 0.2 ** np.arange(256))
-    traj = integrate(u0, SimulationConfig(dt=1e-3, t_final=0.0, trunc=256))
+    traj = _criterion5_at_t0()
     h = hankel(traj.states[0])
     sigma = np.linalg.svdvals(h)
     edge = (sigma[1] / sigma[0]) ** 2
@@ -275,13 +310,60 @@ def test_rank_check_rejects_bad_arguments(kwargs):
         rank_conservation_check(traj, **kwargs)
 
 
+def _criterion5_at_t0():
+    u0 = HardyCoefficients(2.0 * 0.4 ** np.arange(256) - 0.2 ** np.arange(256))
+    return integrate(u0, SimulationConfig(dt=1e-3, t_final=0.0, trunc=256))
+
+
+def _k_edge_tols(traj) -> tuple[float, float]:
+    """tol values 1e-12 either side of sigma_2(K)^2 / sigma_1(H)^2, well inside
+    the K sketch's error bound (its r / sigma_2(K) is about 3e-11)."""
+    state = traj.states[0]
+    edge = (np.linalg.svdvals(shifted_hankel(state))[1] / np.linalg.svdvals(hankel(state))[0]) ** 2
+    return edge * (1 - 1e-12), edge * (1 + 1e-12)
+
+
+def test_rank_check_falls_back_to_dense_k_near_threshold(monkeypatch):
+    # the H count is clear of the threshold, the K count is not: the check
+    # must take every value of K, and must not cache them
+    traj = _criterion5_at_t0()
+    k = shifted_hankel(traj.states[0])
+    tols = _k_edge_tols(traj)
+    calls = _count_svdvals(monkeypatch)
+    answers = set()
+    for tol in tols:
+        dense = _dense_rank_check(traj, 4, tol)
+        calls.clear()
+        assert rank_conservation_check(traj, 4, tol) == dense
+        assert any(np.array_equal(a, k) for a in calls)
+        answers.add(dense)
+    assert answers == {True, False}  # the threshold really sits at sigma_2(K)
+    assert traj._k_sketch_at(0)[1] > 0  # the cache still holds the sketch
+
+
+def test_k2_spectra_independent_of_read_order():
+    spectra_first, check_first = _criterion5_at_t0(), _criterion5_at_t0()
+    tol = _k_edge_tols(spectra_first)[0]
+    spectra_first.k2_spectra
+    assert rank_conservation_check(spectra_first, 4, tol)
+    assert rank_conservation_check(check_first, 4, tol)
+    assert np.array_equal(spectra_first.k2_spectra, check_first.k2_spectra)
+
+
+@pytest.mark.parametrize("case", ["V(2)", "V(4)", "V(6)", "criterion 5"])
+def test_k_sketch_certified_on_finite_rank_cases(case):
+    traj = integrate(*_RANK_CHECK_CASES[case])
+    assert all(r > 0 for r in _check_k2_rows(traj))
+
+
 def test_cached_spectra_are_read_only():
     traj = _v3_trajectory()
     with pytest.raises(ValueError):
         traj.k2_spectra[0, 0] = 1.0
-    for sv in traj.k_singular_values:
+    for i in range(len(traj.states)):
+        s, _ = traj._k_sketch_at(i)
         with pytest.raises(ValueError):
-            sv[0] = 1.0
+            s[0] = 1.0
 
 
 def test_rank_conservation_zero_state():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import quadszego
 from quadszego.hardy import (
@@ -16,6 +17,8 @@ from quadszego.hardy import (
     conserved,
     coshift,
     inner_product,
+    j_and_flow,
+    j_and_products,
     multiply,
     quadratic_products,
     shift,
@@ -23,6 +26,7 @@ from quadszego.hardy import (
     szego_abs2,
     szego_project,
 )
+from quadszego.waves import TravelingWaveSpec, build_profile, residual_traveling
 
 
 def geometric(lam, p, m):
@@ -244,6 +248,63 @@ def test_quadratic_products_rejects_aliased_length():
     for n in (0, 8):
         with pytest.raises(ValueError):
             quadratic_products(c, n)
+
+
+# ---------------------------------------------------------------- one J step
+
+
+@pytest.mark.parametrize("m", [2, 3, 256, 1000])
+def test_every_j_route_agrees_bit_for_bit(m):
+    c = random_state(np.random.default_rng(m), m=m).coeffs
+    j = j_and_flow(c)[0]
+    assert conserved(HardyCoefficients(c)).J == complex(j)
+    for n in (m, 2 * m - 1):
+        j_p, u2, abs2 = j_and_products(c, n)
+        assert j_p == j
+        ref_u2, ref_abs2 = quadratic_products(c, n)
+        assert np.array_equal(u2, ref_u2) and np.array_equal(abs2, ref_abs2)
+    with pytest.raises(ValueError):
+        j_and_products(c, 2 * m)
+
+
+def test_residual_traveling_reads_j_of_j_and_flow():
+    # the residual formula with J from j_and_flow and the products from
+    # quadratic_products, each on its own inverse FFT, gives the same float
+    spec = TravelingWaveSpec("II", 0.7, 0.5 * np.exp(0.3j), 2)
+    v0 = build_profile(spec, 256)
+    j = j_and_flow(v0.coeffs)[0]
+    u2, abs2 = quadratic_products(v0.coeffs, 511)
+    res = -(2.0 * j * abs2 + np.conj(j) * u2)
+    res[:256] += spec.omega * v0.coeffs + spec.c * apply_D(v0).coeffs
+    assert residual_traveling(v0, spec.omega, spec.c) == float(np.linalg.norm(res))
+
+
+def _count_ffts(monkeypatch) -> dict:
+    """Count the calls of each ``scipy.fft`` transform the kernel uses."""
+    counts = {"ifft": 0, "fft": 0, "rfft": 0}
+    for name in counts:
+
+        def counting(*args, _name=name, _original=getattr(scipy.fft, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counting)
+    return counts
+
+
+def test_residual_traveling_takes_one_inverse_fft(monkeypatch):
+    spec = TravelingWaveSpec("I", 1.0, 0.5, 1)
+    v0 = build_profile(spec, 256)
+    counts = _count_ffts(monkeypatch)
+    residual_traveling(v0, spec.omega, spec.c)
+    assert counts == {"ifft": 1, "fft": 1, "rfft": 1}
+
+
+def test_conserved_takes_no_forward_fft(monkeypatch):
+    u = random_state(np.random.default_rng(3), m=512)
+    counts = _count_ffts(monkeypatch)
+    conserved(u)
+    assert counts == {"ifft": 1, "fft": 0, "rfft": 0}
 
 
 def test_szego_abs2_ground_state_mass():
