@@ -5,13 +5,8 @@ from .hardy import (
     HardyCoefficients,
     apply_D,
     conserved,
-    coshift,
     inner_product,
-    multiply,
-    shift,
     sobolev_norm,
-    szego_abs2,
-    szego_project,
 )
 from .operators import (
     AuDReport,
@@ -20,7 +15,6 @@ from .operators import (
     hankel,
     shifted_hankel,
     spectral_report,
-    toeplitz,
     verify_au_minus_d,
     verify_lax,
     verify_syst_pl,
@@ -50,7 +44,6 @@ from .v3 import (
     instability_experiment,
     translated_ground_state,
     v3_integrate,
-    v3_rhs,
 )
 from .steady import SteadyV3Params, build_steady, is_steady
 from .compose import compose_zN, verify_flow_commutation
@@ -62,20 +55,14 @@ __all__ = [
     "HardyCoefficients",
     "apply_D",
     "conserved",
-    "coshift",
     "inner_product",
-    "multiply",
-    "shift",
     "sobolev_norm",
-    "szego_abs2",
-    "szego_project",
     "AuDReport",
     "SpectralReport",
     "a_u",
     "hankel",
     "shifted_hankel",
     "spectral_report",
-    "toeplitz",
     "verify_au_minus_d",
     "verify_lax",
     "verify_syst_pl",
@@ -99,7 +86,6 @@ __all__ = [
     "instability_experiment",
     "translated_ground_state",
     "v3_integrate",
-    "v3_rhs",
     "SteadyV3Params",
     "build_steady",
     "is_steady",

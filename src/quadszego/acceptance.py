@@ -91,6 +91,8 @@ def tw_residual(job) -> dict:
 
 def gn_sweep(rng: np.random.Generator, samples: int) -> tuple[int, float]:
     """Violations (beyond 1e-12) and worst relative excess of ``E <= Q^2 (Q+M)/2`` on random states."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     violations = 0
     worst = -np.inf
     for _ in range(samples):

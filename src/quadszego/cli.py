@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -113,16 +112,7 @@ def _cmd_verify_tw(args) -> int:
     config = _load_config(args)
     tol = float(_resolve(args, config, "tol", 1e-9))
     if args.grid:
-        jobs = int(_resolve(args, config, "jobs", 1))
-        if jobs < 1:
-            raise ValueError(f"--jobs must be >= 1, got {jobs}")
-        grid = acceptance.tw_grid()
-        if jobs > 1:
-            # the fork start method starts every worker up front: cap at the grid size
-            with ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
-                rows = list(pool.map(acceptance.tw_residual, grid))  # merged in parameter order
-        else:
-            rows = [acceptance.tw_residual(job) for job in grid]
+        rows = [acceptance.tw_residual(job) for job in acceptance.tw_grid()]
     else:
         family = _resolve(args, config, "family", "I")
         lam = complex(_resolve(args, config, "lambda_re", 1.0), _resolve(args, config, "lambda_im", 0.0))
@@ -149,7 +139,7 @@ def _cmd_spectral(args) -> int:
     tol = float(_resolve(args, config, "tol", 1e-10))
     block = _resolve(args, config, "block", None)
     report = spectral_report(u, tol=tol)
-    res_k, res_h = verify_lax(u, block=int(block) if block else None)
+    res_k, res_h = verify_lax(u, block=int(block) if block is not None else None)
     print(f"rank_H={report.rank_H} rank_K={report.rank_K} unresolved={report.unresolved}")
     for d in report.dominance:
         print(f"  sigma^2={d.sigma2:.6e}  label={d.label}  dim_E={d.dim_E} dim_F={d.dim_F}")
@@ -319,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-im", dest="p_im", type=float)
     p.add_argument("--n-comp", dest="n_comp", type=int)
     p.add_argument("--tol", type=float)
-    p.add_argument("--jobs", type=int, help="worker pool size for --grid")
     _add_common(p)
     p.set_defaults(func=_cmd_verify_tw)
 

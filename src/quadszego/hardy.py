@@ -12,8 +12,6 @@ Conventions
   Lebesgue measure on the circle, Parseval);
 * the flow's products ``u^2`` and ``Pi(|u|^2)`` come from one alias-free FFT
   kernel, :func:`quadratic_products`, exact up to round-off in ``||u||^2``;
-  :func:`multiply` is an exact full-length (direct) convolution; callers
-  truncate afterwards when they need a fixed state dimension;
 * ``J = (u^2|u)`` is computed in one place, the J step that reads the
   samples of :func:`grid_values`.  :func:`j_and_flow` adds the flow's
   right-hand side to it, :func:`j_and_products` the products of
@@ -27,7 +25,6 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.fft
@@ -35,14 +32,9 @@ import scipy.fft
 __all__ = [
     "HardyCoefficients",
     "ConservedTriple",
-    "szego_project",
     "inner_product",
     "sobolev_norm",
     "apply_D",
-    "shift",
-    "coshift",
-    "multiply",
-    "szego_abs2",
     "conserved",
     "grid_values",
     "quadratic_products",
@@ -195,15 +187,6 @@ class HardyCoefficients:
         """L2 norm ``sqrt((u|u))``."""
         return float(np.linalg.norm(self.coeffs))
 
-    def evaluate(self, z) -> np.ndarray:
-        """Evaluate ``sum_k u_hat(k) z^k`` for ``|z| <= 1`` (vectorized)."""
-        z = np.asarray(z, dtype=np.complex128)
-        return np.polynomial.polynomial.polyval(z, self.coeffs)
-
-    def boundary_values(self, n: int) -> np.ndarray:
-        """Values on the equispaced grid ``exp(2 pi i j / n)``, ``j = 0..n-1``."""
-        return self.evaluate(np.exp(2j * np.pi * np.arange(n) / n))
-
     # Two values with different trunc compare equal iff they agree after
     # zero-padding to the larger trunc.
     def __eq__(self, other) -> bool:
@@ -211,11 +194,6 @@ class HardyCoefficients:
             return NotImplemented
         m = max(self.trunc, other.trunc)
         return bool(np.array_equal(self.padded(m), other.padded(m)))
-
-    def isclose(self, other: "HardyCoefficients", tol: float = 1e-12) -> bool:
-        """Per-mode comparison with absolute tolerance (default 1e-12)."""
-        m = max(self.trunc, other.trunc)
-        return bool(np.max(np.abs(self.padded(m) - other.padded(m))) <= tol)
 
     def __hash__(self):
         # strip trailing zeros so padded-equal values hash alike; adding +0.0
@@ -253,19 +231,6 @@ class ConservedTriple:
     J: complex
 
 
-def szego_project(full: Sequence[complex]) -> HardyCoefficients:
-    """Project a two-sided coefficient sequence onto nonnegative modes.
-
-    ``full`` must have odd length ``2M+1`` and is read as indices
-    ``-M .. M``; the output keeps indices ``0 .. M``.
-    """
-    arr = np.asarray(full, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size % 2 == 0:
-        raise ValueError("two-sided input must have odd length 2M+1")
-    center = arr.size // 2
-    return HardyCoefficients(arr[center:])
-
-
 def inner_product(u: HardyCoefficients, v: HardyCoefficients) -> complex:
     """``(u|v) = sum_k u_hat(k) conj(v_hat(k))`` after zero-padding."""
     m = max(u.trunc, v.trunc)
@@ -287,44 +252,6 @@ def apply_D(u: HardyCoefficients) -> HardyCoefficients:
     """Frequency multiplier ``u_hat(k) -> k u_hat(k)`` (D = -i d/dx = z d/dz)."""
     k = np.arange(u.trunc)
     return HardyCoefficients(k * u.coeffs)
-
-
-def shift(u: HardyCoefficients) -> HardyCoefficients:
-    """Multiply by z: coefficients move up one index; trunc grows by one so
-    the top mode is never dropped."""
-    out = np.zeros(u.trunc + 1, dtype=np.complex128)
-    out[1:] = u.coeffs
-    return HardyCoefficients(out)
-
-
-def coshift(u: HardyCoefficients) -> HardyCoefficients:
-    """Adjoint shift S*: drops ``u_hat(0)`` and moves everything down.
-
-    ``coshift(shift(u)) == u`` and ``shift(coshift(u)) == u - (u|1)``.
-    """
-    if u.trunc == 1:
-        return HardyCoefficients(np.zeros(1, dtype=np.complex128))
-    return HardyCoefficients(u.coeffs[1:])
-
-
-def multiply(u: HardyCoefficients, v: HardyCoefficients, trunc: int | None = None) -> HardyCoefficients:
-    """Pointwise product on the circle = exact coefficient convolution.
-
-    The result has full length ``trunc_u + trunc_v - 1`` (no aliasing); pass
-    ``trunc`` to cut back to a fixed state dimension afterwards.
-    """
-    prod = HardyCoefficients(np.convolve(u.coeffs, v.coeffs))
-    return prod if trunc is None else prod.truncated(trunc)
-
-
-def szego_abs2(u: HardyCoefficients, trunc: int | None = None) -> HardyCoefficients:
-    """``Pi(|u|^2)`` computed alias-free.
-
-    The two-sided coefficients of ``|u|^2`` at offset ``d`` are
-    ``sum_k u_hat(k+d) conj(u_hat(k))``; only ``d >= 0`` is kept.
-    """
-    n = u.trunc if trunc is None else min(trunc, u.trunc)
-    return HardyCoefficients(quadratic_products(u.coeffs, n)[1])
 
 
 def conserved(u: HardyCoefficients) -> ConservedTriple:

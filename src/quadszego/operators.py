@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz as _toeplitz
+from scipy.linalg import toeplitz
 
 from .errors import NotEigenvector, PoleCollision
 from .hardy import (
@@ -35,7 +35,6 @@ from .hardy import (
 __all__ = [
     "hankel",
     "shifted_hankel",
-    "toeplitz",
     "sketched_singular_values",
     "a_u",
     "SpectralReport",
@@ -75,26 +74,6 @@ def shifted_hankel(u: HardyCoefficients, size: int | None = None) -> np.ndarray:
     return _symbol_matrix(u, size, offset=1)
 
 
-def toeplitz(symbol_two_sided: np.ndarray, size: int) -> np.ndarray:
-    """Toeplitz matrix ``T[j,k] = b_hat(j-k)`` of a two-sided symbol.
-
-    ``symbol_two_sided`` has odd length ``2m+1`` read as indices ``-m..m``.
-    Hermitian whenever the symbol is real-valued on the circle.
-    """
-    arr = np.asarray(symbol_two_sided, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size % 2 == 0:
-        raise ValueError("two-sided symbol must have odd length 2m+1")
-    if size < 2:
-        raise ValueError("matrix size must be >= 2")
-    m = arr.size // 2
-    col = np.zeros(size, dtype=np.complex128)  # b_hat(j), j >= 0
-    row = np.zeros(size, dtype=np.complex128)  # b_hat(-k), k >= 0
-    npos = min(size, m + 1)
-    col[:npos] = arr[m : m + npos]
-    row[:npos] = arr[m::-1][:npos]
-    return _toeplitz(col, row)
-
-
 def sketched_singular_values(h: np.ndarray, width: int) -> tuple[np.ndarray, float]:
     """The top ``width`` singular values ``s`` of an ``M x M`` matrix ``h``,
     read off its first ``width`` columns, with a bound ``r`` on their error.
@@ -126,7 +105,7 @@ def a_u(u: HardyCoefficients, size: int | None = None) -> np.ndarray:
     if size < 2:
         raise ValueError("matrix size must be >= 2")
     col = u.padded(max(size, u.trunc))[:size]
-    t_u = _toeplitz(col, np.zeros(size, dtype=np.complex128))
+    t_u = toeplitz(col, np.zeros(size, dtype=np.complex128))
     return t_u + t_u.conj().T
 
 
@@ -295,9 +274,12 @@ def verify_lax(u: HardyCoefficients, block: int | None = None) -> tuple[float, f
     matrix residual additionally sees the symbol-tail truncation and decays
     geometrically as ``trunc`` grows.
 
-    Returns ``(res_K, res_H)``.
+    Returns ``(res_K, res_H)``; raises ``ValueError`` unless
+    ``1 <= block <= trunc``.
     """
     m = u.trunc
+    if block is not None and not 1 <= block <= m:
+        raise ValueError(f"need 1 <= block <= trunc = {m}, got {block}")
     x = lax_symbol(u)
     h = hankel(u, m)
     k = shifted_hankel(u, m)

@@ -51,7 +51,6 @@ __all__ = [
     "V3Derived",
     "derived",
     "energy_closed_form",
-    "v3_rhs",
     "V3Trajectory",
     "v3_integrate",
     "embed",
@@ -60,7 +59,6 @@ __all__ = [
     "InstabilityReport",
     "instability_experiment",
     "translated_ground_state",
-    "angle_distance",
 ]
 
 _P_LIMIT = 1e-10
@@ -135,12 +133,6 @@ def _deriv(b: complex, c: complex, p: complex) -> tuple[complex, complex, comple
     return db, dc, dp
 
 
-def v3_rhs(s: V3State) -> tuple[complex, complex, complex]:
-    """Time derivatives ``(db, dc, dp)`` of the reduced system."""
-    _check_admissible(s.b, s.c, s.p)
-    return _deriv(s.b, s.c, s.p)
-
-
 @dataclass(frozen=True, eq=False)
 class V3Trajectory:
     """Per-sample record of a reduced trajectory.
@@ -192,10 +184,13 @@ def v3_integrate(
     shape; the run ends at the first sample where it holds, and the solver
     never gets further than one step past it.  Raises
     :class:`DegenerateState` near ``|p| = 1`` or ``c = 0``, checked at every
-    right-hand-side evaluation, and ``ValueError`` up front for ``dt == 0``.
+    right-hand-side evaluation, and ``ValueError`` up front for ``dt == 0``
+    or ``stride < 1``.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     n_steps = int(round(abs(t_final) / abs(dt)))
     h = math.copysign(abs(dt), t_final)
     d0 = derived(s0)
@@ -458,12 +453,3 @@ def instability_experiment(
         gamma_order=gamma_order,
     )
 
-
-def angle_distance(a: float, b: float) -> float:
-    """Distance between two angles modulo 2 pi."""
-    d = math.fmod(a - b, 2.0 * math.pi)
-    if d > math.pi:
-        d -= 2.0 * math.pi
-    elif d < -math.pi:
-        d += 2.0 * math.pi
-    return abs(d)

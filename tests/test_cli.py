@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from quadszego import acceptance, cli
+from quadszego import acceptance
 from quadszego.cli import main
 from quadszego.hardy import HardyCoefficients
 from quadszego.operators import shifted_hankel
@@ -33,42 +33,11 @@ def test_verify_tw_grid_artifact(tmp_path):
     assert len(payload["results"]) == 36
 
 
-def test_verify_tw_grid_jobs_merge_deterministic(tmp_path):
+def test_verify_tw_grid_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify-tw", "--grid", "--out", str(a)]) == 0
-    assert main(["verify-tw", "--grid", "--jobs", "2", "--out", str(b)]) == 0
+    assert main(["verify-tw", "--grid", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_verify_tw_grid_jobs_capped_at_grid_size(tmp_path, monkeypatch):
-    # a stand-in pool records its size and maps in-process, so no worker starts
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["verify-tw", "--grid", "--out", str(a)]) == 0
-    assert main(["verify-tw", "--grid", "--jobs", "1000", "--out", str(b)]) == 0
-    assert sizes == [len(acceptance.tw_grid())] == [36]
-    assert a.read_bytes() == b.read_bytes()
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_verify_tw_grid_jobs_below_one_is_usage_error(jobs, capsys):
-    assert main(["verify-tw", "--grid", "--jobs", jobs]) == 2
-    assert "--jobs" in capsys.readouterr().err
 
 
 def test_gn_check_deterministic_artifacts(tmp_path):
@@ -81,6 +50,15 @@ def test_gn_check_deterministic_artifacts(tmp_path):
     assert payload["params"]["seed"] == 7
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_gn_check_empty_sweep_is_usage_error(samples, tmp_path, capsys):
+    # an empty sweep certifies nothing, and its worst excess (-inf) is not JSON
+    out = tmp_path / "gn.json"
+    assert main(["gn-check", "--samples", samples, "--out", str(out)]) == 2
+    assert "samples must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spectral_subcommand(tmp_path, capsys):
     state = tmp_path / "state.json"
     write_state(state, 0.5 ** np.arange(64))
@@ -91,6 +69,14 @@ def test_spectral_subcommand(tmp_path, capsys):
     assert payload["report"]["rank_H"] == 1
     assert payload["report"]["rank_K"] == 1
     assert payload["lax_residuals"]["K"] < 1e-9
+
+
+@pytest.mark.parametrize("block", ["0", "-3"])
+def test_spectral_block_outside_the_matrix_is_usage_error(block, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    write_state(state, 0.5 ** np.arange(64))
+    assert main(["spectral", "--state", str(state), "--block", block]) == 2
+    assert "block" in capsys.readouterr().err
 
 
 def test_simulate_with_config_file(tmp_path):
@@ -195,9 +181,10 @@ def test_instability_escape_exit_zero(tmp_path, capsys):
 
 
 def test_usage_error_exit_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-subcommand"])
-    assert exc.value.code == 2
+    for argv in (["no-such-subcommand"], ["verify-tw", "--grid", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_missing_state_file_exit_two(tmp_path, capsys):

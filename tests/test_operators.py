@@ -12,7 +12,6 @@ from quadszego.operators import (
     shifted_hankel,
     sketched_singular_values,
     spectral_report,
-    toeplitz,
     verify_au_minus_d,
     verify_lax,
     verify_profile_identities,
@@ -68,21 +67,6 @@ def test_hankel_structure_random():
             assert h[j, l] == expected
             expected_k = u.coeffs[j + l + 1] if j + l + 1 < 12 else 0.0
             assert k[j, l] == expected_k
-
-
-def test_toeplitz_structure_and_hermitian_for_real_symbol():
-    rng = np.random.default_rng(1)
-    half = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    # real-valued symbol: b_hat(-k) = conj(b_hat(k))
-    two_sided = np.concatenate([np.conj(half[::-1]), [rng.standard_normal() + 0j], half])
-    t = toeplitz(two_sided, size=6)
-    center = len(two_sided) // 2
-    for j in range(6):
-        for l in range(6):
-            d = j - l
-            expected = two_sided[center + d] if abs(d) <= 4 else 0.0
-            assert t[j, l] == expected
-    assert np.allclose(t, t.conj().T, atol=1e-15)
 
 
 def test_a_u_hermitian_by_construction():
@@ -294,6 +278,13 @@ def test_lax_rational_symbols_block_residual():
     u = HardyCoefficients(0.5 ** np.arange(256) + np.concatenate([[0], (1 / 3) ** np.arange(255)]))
     res_k, res_h = verify_lax(u, block=64)
     assert res_k < 1e-9 and res_h < 1e-9
+
+
+@pytest.mark.parametrize("block", [0, -3, 65])
+def test_lax_rejects_block_outside_the_matrix(block):
+    # an empty or negative-index corner would pass any residual gate
+    with pytest.raises(ValueError, match="block"):
+        verify_lax(geometric(1.0, 0.5, 64), block=block)
 
 
 def test_lax_full_residual_decays_with_truncation():

@@ -13,7 +13,6 @@ from quadszego.hardy import conserved
 from quadszego.v3 import (
     V3State,
     _deriv,
-    angle_distance,
     derived,
     embed,
     energy_closed_form,
@@ -21,8 +20,17 @@ from quadszego.v3 import (
     instability_experiment,
     translated_ground_state,
     v3_integrate,
-    v3_rhs,
 )
+
+
+def angle_distance(a, b):
+    """Distance between two angles modulo 2 pi."""
+    d = math.fmod(a - b, 2.0 * math.pi)
+    if d > math.pi:
+        d -= 2.0 * math.pi
+    elif d < -math.pi:
+        d += 2.0 * math.pi
+    return abs(d)
 
 
 def _rk4_step(b, c, p, dt):
@@ -124,13 +132,13 @@ def test_psi_zero_convention_when_bp_vanishes():
 
 def test_monomial_is_fixed_point():
     s = V3State(b=0.0, c=1.0, p=0.0)  # u = z has J = 0
-    db, dc, dp = v3_rhs(s)
+    db, dc, dp = _deriv(s.b, s.c, s.p)
     assert db == dc == dp == 0
 
 
 def test_pdot_magnitude_at_translated_ground_state():
     s = translated_ground_state(0.25)
-    _, _, dp = v3_rhs(s)
+    _, _, dp = _deriv(s.b, s.c, s.p)
     assert abs(dp) == pytest.approx(0.5 * 0.629630, abs=1e-6)
 
 
@@ -141,15 +149,8 @@ def test_zero_j_forces_zero_derivative():
     mean, c, p = family_constants(np.pi / 6)
     s = V3State(b=mean, c=c, p=p)
     assert abs(derived(s).J) < 1e-15
-    db, dc, dp = v3_rhs(s)
+    db, dc, dp = _deriv(s.b, s.c, s.p)
     assert max(abs(db), abs(dc), abs(dp)) < 1e-14
-
-
-def test_degenerate_guards():
-    with pytest.raises(DegenerateState):
-        v3_rhs(V3State(b=0.0, c=1.0, p=1.0 - 1e-12))
-    with pytest.raises(DegenerateState):
-        v3_rhs(V3State(b=1.0, c=1e-15, p=0.1))
 
 
 def test_rhs_matches_full_flow_derivative():
@@ -158,7 +159,7 @@ def test_rhs_matches_full_flow_derivative():
 
     for _ in range(5):
         s = random_admissible(rng)
-        db, dc, dp = v3_rhs(s)
+        db, dc, dp = _deriv(s.b, s.c, s.p)
         m = 512
         direct = flow_rhs(embed(s, m)).coeffs
         # d/dt of b + c z/(1-pz): mean b', higher modes c' p^{k-1} + c (k-1) p^{k-2} p'
@@ -255,9 +256,14 @@ def test_v3_integrate_raises_near_degenerate():
         v3_integrate(V3State(b=1.0, c=1e-15, p=0.1), 1e-4, 0.1)
 
 
-def test_v3_integrate_rejects_zero_dt():
-    with pytest.raises(ValueError, match="dt must be nonzero"):
-        v3_integrate(V3State(b=0.3 + 0.1j, c=1.0, p=0.4), 0.0, 1.0)
+@pytest.mark.parametrize(
+    "dt, stride, message",
+    [(0.0, 100, "dt must be nonzero"), (1e-3, 0, "stride must be >= 1"), (1e-3, -3, "stride must be >= 1")],
+    ids=["dt0", "stride0", "stride-3"],
+)
+def test_v3_integrate_rejects_zero_dt(dt, stride, message):
+    with pytest.raises(ValueError, match=message):
+        v3_integrate(V3State(b=0.3 + 0.1j, c=1.0, p=0.4), dt, 1.0, stride=stride)
 
 
 def test_v3_drift_values_are_floats():
