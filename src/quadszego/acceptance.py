@@ -12,7 +12,7 @@ run is the one that certifies.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,11 +20,20 @@ from .compose import compose_zN, verify_flow_commutation
 from .dynamics import SimulationConfig, integrate, rank_conservation_check
 from .hardy import HardyCoefficients, conserved
 from .operators import verify_au_minus_d, verify_lax, verify_profile_identities
-from .steady import SteadyV3Params, explicit_example, steadiness_measure
+from .steady import STEADY_TOL, SteadyV3Params, explicit_example, steadiness_measure
 from .v3 import V3State, embed, evolx_residual, instability_experiment, v3_integrate
 from .waves import TravelingWaveSpec, build_profile, residual_traveling, standing_wave_arc, verify_standing
 
 __all__ = ["CheckResult", "run_all", "CRITERIA"]
+
+# Each value below is defined once, here, and is both a criterion's and the
+# default of the ``szego`` subcommand that reruns that criterion's check.
+TW_TOL = 1e-9  # criterion 1, ``verify-tw --tol``
+GN_SEED, GN_SAMPLES = 42, 10_000  # criterion 7, ``gn-check``
+INSTABILITY_R, INSTABILITY_GAMMA = 0.25, 1e-2  # criterion 8, ``instability``
+V3_DATUM = V3State(b=0.3 + 0.1j, c=1.0, p=0.4)  # criteria 3, 9 and 11, ``compose-check``
+COMPOSE_CONFIG = SimulationConfig(dt=1e-3, t_final=2.0, trunc=128)  # criterion 11, ``compose-check``
+COMPOSE_TOL = 1e-6  # criterion 11's gap gate, ``compose-check --tol``
 
 
 @dataclass
@@ -120,7 +129,7 @@ def criterion_1_traveling_wave_certification(quick: bool = False) -> CheckResult
     runtime = time.time() - t0
     return CheckResult(
         "1 traveling-wave certification",
-        worst < 1e-9 and omega_err < 1e-12 and c_err < 1e-12,
+        worst < TW_TOL and omega_err < 1e-12 and c_err < 1e-12,
         runtime,
         {"worst_residual": worst, "profiles": len(grid), "omega_err": omega_err, "c_err": c_err},
         gate=10.0,
@@ -153,10 +162,9 @@ def criterion_2_exact_orbit(quick: bool = False) -> CheckResult:
 def criterion_3_conservation(quick: bool = False) -> CheckResult:
     """Q, M, E relative drift on the three-parameter-class datum."""
     t0 = time.time()
-    s0 = V3State(b=0.3 + 0.1j, c=1.0, p=0.4)
     t_final = 2.0 if quick else 10.0
     cfg = SimulationConfig(dt=1e-3, t_final=t_final, trunc=256, monitor_stride=100, tol_drift=1e-6)
-    traj = integrate(embed(s0, 256), cfg)
+    traj = integrate(embed(V3_DATUM, 256), cfg)
     worst = max(traj.drift.values())
     runtime = time.time() - t0
     return CheckResult(
@@ -282,8 +290,8 @@ def criterion_6_profile_eigenstructure(quick: bool = False) -> CheckResult:
 def criterion_7_gagliardo_nirenberg(quick: bool = False) -> CheckResult:
     """Seeded sweep of the energy inequality; equality on geometric states."""
     t0 = time.time()
-    rng = np.random.default_rng(42)
-    n_samples = 1000 if quick else 10_000
+    rng = np.random.default_rng(GN_SEED)
+    n_samples = 1000 if quick else GN_SAMPLES
     violations, worst = gn_sweep(rng, n_samples)
     worst_excess = max(0.0, worst)
     eq_worst = 0.0
@@ -314,9 +322,10 @@ def criterion_8_instability_mechanism(quick: bool = False) -> CheckResult:
     band and the vanishing y-linear fit are reported alongside.
     """
     t0 = time.time()
-    r, gamma = 0.25, 1e-2
-    t_final = 10.0 if quick else 50.0
-    rep = instability_experiment(r, gamma, eps0=1e-2, dt=1e-4, t_final=t_final)
+    if quick:
+        rep = instability_experiment(INSTABILITY_R, INSTABILITY_GAMMA, t_final=10.0)
+    else:
+        rep = instability_experiment(INSTABILITY_R, INSTABILITY_GAMMA)
     push_ok = abs(rep.dydt2_measured / (rep.delta_ecal * rep.coeff_leading) - 1.0) < 0.05
     coeff_ok = abs(rep.coeff_leading - 0.329218) < 1e-6
     exit_ok = rep.escaped  # faithful assertion; see docstring
@@ -347,19 +356,18 @@ def criterion_8_instability_mechanism(quick: bool = False) -> CheckResult:
 def criterion_9_v3_consistency(quick: bool = False) -> CheckResult:
     """Reduced ODE vs full spectral dynamics; evolution law of x by FD."""
     t0 = time.time()
-    s0 = V3State(b=0.3 + 0.1j, c=1.0, p=0.4)
     t_final = 1.0 if quick else 2.0
     cfg = SimulationConfig(dt=1e-3, t_final=t_final, trunc=256, monitor_stride=100, tol_drift=1e-6)
-    pde = integrate(embed(s0, 256), cfg)
-    ode = v3_integrate(s0, 1e-4, t_final, stride=1000)
+    pde = integrate(embed(V3_DATUM, 256), cfg)
+    ode = v3_integrate(V3_DATUM, 1e-4, t_final, stride=1000)
     by_time = {round(float(t), 9): st for t, st in zip(ode.state_times, ode.states)}
     gap = 0.0
     for t, st in zip(pde.times, pde.states):
         key = round(float(t), 9)
         if key in by_time:
             gap = max(gap, float(np.linalg.norm(embed(by_time[key], 256).coeffs - st.coeffs)))
-    res_coarse = evolx_residual(v3_integrate(s0, 1e-4, t_final, stride=1000))
-    res_fine = evolx_residual(v3_integrate(s0, 5e-5, t_final, stride=1000))
+    res_coarse = evolx_residual(v3_integrate(V3_DATUM, 1e-4, t_final, stride=1000))
+    res_fine = evolx_residual(v3_integrate(V3_DATUM, 5e-5, t_final, stride=1000))
     ratio = res_coarse / res_fine
     runtime = time.time() - t0
     passed = gap < 1e-6 and res_coarse < 1e-5 and 2.5 < ratio
@@ -384,7 +392,7 @@ def criterion_10_steady_family(quick: bool = False) -> CheckResult:
     ex = explicit_example(512)
     ex_j = abs(conserved(ex).J)
     runtime = time.time() - t0
-    passed = worst_j < 1e-11 and worst_rhs < 1e-11 and ex_j < 1e-13
+    passed = worst_j < STEADY_TOL and worst_rhs < STEADY_TOL and ex_j < 1e-13
     return CheckResult(
         "10 steady family grid",
         passed,
@@ -396,14 +404,13 @@ def criterion_10_steady_family(quick: bool = False) -> CheckResult:
 def criterion_11_composition_invariance(quick: bool = False) -> CheckResult:
     """Flow commutation under z -> z^N; isometry and J invariance."""
     t0 = time.time()
-    u0 = embed(V3State(b=0.3 + 0.1j, c=1.0, p=0.4), 128)
-    t_final = 0.5 if quick else 2.0
-    cfg = SimulationConfig(dt=1e-3, t_final=t_final, trunc=128, monitor_stride=100, tol_drift=1e-6)
+    cfg = replace(COMPOSE_CONFIG, t_final=0.5) if quick else COMPOSE_CONFIG
+    u0 = embed(V3_DATUM, cfg.trunc)
     gaps = {n: verify_flow_commutation(u0, n, cfg) for n in (2, 3)}
     iso_err = abs(compose_zN(u0, 3).norm() - u0.norm())
     j_err = abs(conserved(compose_zN(u0, 3)).J - conserved(u0).J)
     runtime = time.time() - t0
-    passed = max(gaps.values()) < 1e-6 and iso_err < 1e-14 and j_err < 1e-14
+    passed = max(gaps.values()) < COMPOSE_TOL and iso_err < 1e-14 and j_err < 1e-14
     return CheckResult(
         "11 composition invariance",
         passed,

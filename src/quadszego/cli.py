@@ -1,8 +1,13 @@
 """Experiment runner: one subcommand per verification workflow.
 
-Exit codes: 0 all checks passed, 1 check failure, 2 usage error.  Flags take
-precedence over the optional JSON config file (``--config``), which takes
-precedence over defaults.  Artifacts carry the seed and parameters in their
+Exit codes: 0 all checks passed, 1 check failure, 2 usage error.  Each
+subcommand resolves its parameters in one merge: its defaults, then the
+optional JSON config file (``--config``), then the flags given.  A config key
+is a flag's name (``t_final`` for ``--t-final``) and is checked like the
+flag: a key the subcommand does not read, or a value its flag would refuse,
+exits 2.  Defaults that mirror an acceptance criterion are that criterion's
+own values, read from :mod:`quadszego.acceptance` (the equilibrium gate from
+``steady.STEADY_TOL``).  Artifacts carry the seed and parameters in their
 header and contain no timestamps, so a fixed seed reproduces them
 byte-for-byte on one platform.
 """
@@ -10,6 +15,7 @@ byte-for-byte on one platform.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -20,10 +26,13 @@ from .compose import compose_zN, verify_flow_commutation
 from .dynamics import SimulationConfig, integrate, trajectory_to_csv, trajectory_to_jsonl
 from .errors import QuadSzegoError
 from .hardy import HardyCoefficients
-from .operators import spectral_report, verify_lax
-from .steady import SteadyV3Params, build_steady, steadiness_measure, suggested_trunc
-from .v3 import V3State, embed, instability_experiment
+from .operators import DEFAULT_RANK_TOL, spectral_report, verify_lax
+from .steady import STEADY_TOL, SteadyV3Params, build_steady, steadiness_measure, suggested_trunc
+from .v3 import embed, instability_experiment
 from .waves import TravelingWaveSpec, build_profile
+
+# simulate's defaults; with no --trunc it runs at max(trunc, the initial state's)
+_SIMULATE = SimulationConfig(dt=1e-3, t_final=1.0, trunc=256)
 
 
 def _write_artifact(path: str | None, payload: dict) -> None:
@@ -39,59 +48,32 @@ def _load_state(path: str) -> HardyCoefficients:
         return HardyCoefficients.from_json(json.load(f))
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
-
-
-def _load_config(args: argparse.Namespace) -> dict:
-    path = getattr(args, "config", None)
-    if path is None:
-        return {}
-    with open(path) as f:
-        cfg = json.load(f)
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a single JSON object")
-    return cfg
-
-
 def _header(args: argparse.Namespace, **params) -> dict:
     return {"tool": "szego", "subcommand": args.subcommand, "params": params}
+
+
+def _wave(args) -> tuple:
+    """The (family, lambda, p, N) point the wave flags name."""
+    return args.family, complex(args.lambda_re, args.lambda_im), complex(args.p_re, args.p_im), args.n_comp
+
+
+def _run_config(args, trunc: int) -> SimulationConfig:
+    return SimulationConfig(
+        dt=args.dt, t_final=args.t_final, trunc=trunc, monitor_stride=args.stride, tol_drift=args.tol_drift
+    )
 
 
 # ----------------------------------------------------------------- simulate
 
 
-def _state_from_flags(args, config) -> HardyCoefficients:
-    state_path = _resolve(args, config, "state", None)
-    if state_path is not None:
-        return _load_state(state_path)
-    family = _resolve(args, config, "family", None)
-    if family is None:
-        raise ValueError("provide --state or a --family profile")
-    spec = TravelingWaveSpec(
-        family,
-        complex(_resolve(args, config, "lambda_re", 1.0), _resolve(args, config, "lambda_im", 0.0)),
-        complex(_resolve(args, config, "p_re", 0.5), _resolve(args, config, "p_im", 0.0)),
-        int(_resolve(args, config, "n_comp", 1)),
-    )
-    return build_profile(spec, int(_resolve(args, config, "trunc", 256)))
-
-
 def _cmd_simulate(args) -> int:
-    config = _load_config(args)
-    u0 = _state_from_flags(args, config)
-    cfg = SimulationConfig(
-        dt=float(_resolve(args, config, "dt", 1e-3)),
-        t_final=float(_resolve(args, config, "t_final", 1.0)),
-        trunc=int(_resolve(args, config, "trunc", max(256, u0.trunc))),
-        monitor_stride=int(_resolve(args, config, "stride", 100)),
-        tol_drift=float(_resolve(args, config, "tol_drift", 1e-6)),
-    )
+    if args.state is not None:
+        u0 = _load_state(args.state)
+    elif args.family is not None:
+        u0 = build_profile(TravelingWaveSpec(*_wave(args)), _SIMULATE.trunc if args.trunc is None else args.trunc)
+    else:
+        raise ValueError("provide --state or a --family profile")
+    cfg = _run_config(args, max(_SIMULATE.trunc, u0.trunc) if args.trunc is None else args.trunc)
     traj = integrate(u0, cfg)
     print(f"steps={int(round(cfg.t_final / cfg.dt))} snapshots={len(traj.times)}")
     for name, val in traj.drift.items():
@@ -109,42 +91,30 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify_tw(args) -> int:
-    config = _load_config(args)
-    tol = float(_resolve(args, config, "tol", 1e-9))
-    if args.grid:
-        rows = [acceptance.tw_residual(job) for job in acceptance.tw_grid()]
-    else:
-        family = _resolve(args, config, "family", "I")
-        lam = complex(_resolve(args, config, "lambda_re", 1.0), _resolve(args, config, "lambda_im", 0.0))
-        p = complex(_resolve(args, config, "p_re", 0.5), _resolve(args, config, "p_im", 0.0))
-        n = int(_resolve(args, config, "n_comp", 1))
-        rows = [acceptance.tw_residual((family, lam, p, n))]
+    rows = [acceptance.tw_residual(job) for job in (acceptance.tw_grid() if args.grid else [_wave(args)])]
     worst = max(r["residual"] for r in rows)
     for r in rows:
         print(f"family {r['family']} lambda={r['lambda']} p={r['p']} N={r['N']}: residual {r['residual']:.3e}")
-    print(f"worst residual: {worst:.3e} (tol {tol:.1e})")
-    payload = _header(args, tol=tol)
+    print(f"worst residual: {worst:.3e} (tol {args.tol:.1e})")
+    payload = _header(args, tol=args.tol)
     payload["results"] = [{**r, "lambda": [r["lambda"].real, r["lambda"].imag], "p": [r["p"].real, r["p"].imag]} for r in rows]
     payload["worst_residual"] = worst
     _write_artifact(args.out, payload)
-    return 0 if worst < tol else 1
+    return 0 if worst < args.tol else 1
 
 
 # ----------------------------------------------------------------- spectral
 
 
 def _cmd_spectral(args) -> int:
-    config = _load_config(args)
     u = _load_state(args.state)
-    tol = float(_resolve(args, config, "tol", 1e-10))
-    block = _resolve(args, config, "block", None)
-    report = spectral_report(u, tol=tol)
-    res_k, res_h = verify_lax(u, block=int(block) if block is not None else None)
+    report = spectral_report(u, tol=args.tol)
+    res_k, res_h = verify_lax(u, block=args.block)
     print(f"rank_H={report.rank_H} rank_K={report.rank_K} unresolved={report.unresolved}")
     for d in report.dominance:
         print(f"  sigma^2={d.sigma2:.6e}  label={d.label}  dim_E={d.dim_E} dim_F={d.dim_F}")
     print(f"Lax residuals: K {res_k:.3e}  H {res_h:.3e}")
-    payload = _header(args, tol=tol, block=block)
+    payload = _header(args, tol=args.tol, block=args.block)
     payload["report"] = report.to_json()
     payload["lax_residuals"] = {"K": res_k, "H": res_h}
     _write_artifact(args.out, payload)
@@ -155,14 +125,7 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_instability(args) -> int:
-    config = _load_config(args)
-    rep = instability_experiment(
-        r=float(_resolve(args, config, "r", 0.25)),
-        gamma=float(_resolve(args, config, "gamma", 1e-2)),
-        eps0=float(_resolve(args, config, "eps0", 1e-2)),
-        dt=float(_resolve(args, config, "dt", 1e-4)),
-        t_final=float(_resolve(args, config, "t_final", 50.0)),
-    )
+    rep = instability_experiment(args.r, args.gamma, args.eps0, args.dt, args.t_final)
     print(f"delta_ecal = {rep.delta_ecal:.6e} (gamma order {rep.gamma_order:.3f})")
     print(f"(dy/dt)^2(0): measured {rep.dydt2_measured:.6e}  predicted {rep.dydt2_predicted:.6e}")
     print(f"y band: max|y| = {rep.y_max_abs:.3e}  exit threshold {rep.exit_threshold:.3e}")
@@ -180,21 +143,14 @@ def _cmd_instability(args) -> int:
 
 
 def _cmd_steady(args) -> int:
-    config = _load_config(args)
-    params = SteadyV3Params(
-        scale=float(_resolve(args, config, "scale", 1.0)),
-        a=float(_resolve(args, config, "a", 0.0)),
-        b_angle=float(_resolve(args, config, "b", 0.0)),
-        theta=float(_resolve(args, config, "theta", 0.0)),
-    )
-    trunc = _resolve(args, config, "trunc", None)
-    trunc = int(trunc) if trunc is not None else suggested_trunc(params.theta)
+    params = SteadyV3Params(scale=args.scale, a=args.a, b_angle=args.b, theta=args.theta)
+    trunc = suggested_trunc(params.theta) if args.trunc is None else args.trunc
     status = 0
     if args.verify or not args.out:
         meas = steadiness_measure(params, trunc=trunc)
         print(f"theta={params.theta:.6f} trunc={meas.trunc} |J|={meas.abs_j:.3e} rhs_norm={meas.rhs_norm:.3e}"
               + ("  [extended precision]" if meas.extended else ""))
-        status = 0 if (meas.abs_j < 1e-11 and meas.rhs_norm < 1e-11) else 1
+        status = 0 if (meas.abs_j < STEADY_TOL and meas.rhs_norm < STEADY_TOL) else 1
     if args.out:
         state = build_steady(params, min(trunc, 65536))
         _write_artifact(args.out, {**_header(args, theta=params.theta), "state": state.to_json()})
@@ -216,39 +172,26 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_compose_check(args) -> int:
-    config = _load_config(args)
-    n = int(_resolve(args, config, "n", 2))
-    trunc = int(_resolve(args, config, "trunc", 128))
-    if getattr(args, "state", None):
-        u0 = _load_state(args.state).truncated(trunc)
+    if args.state:
+        u0 = _load_state(args.state).truncated(args.trunc)
     else:
-        u0 = embed(V3State(b=0.3 + 0.1j, c=1.0, p=0.4), trunc)
-    cfg = SimulationConfig(
-        dt=float(_resolve(args, config, "dt", 1e-3)),
-        t_final=float(_resolve(args, config, "t_final", 2.0)),
-        trunc=trunc,
-        monitor_stride=int(_resolve(args, config, "stride", 100)),
-        tol_drift=float(_resolve(args, config, "tol_drift", 1e-6)),
-    )
-    tol = float(_resolve(args, config, "tol", 1e-6))
-    gap = verify_flow_commutation(u0, n, cfg)
-    print(f"flow-commutation gap (N={n}, t_final={cfg.t_final}): {gap:.3e} (tol {tol:.1e})")
-    _write_artifact(args.out, {**_header(args, n=n, tol=tol), "gap": gap})
-    return 0 if gap < tol else 1
+        u0 = embed(acceptance.V3_DATUM, args.trunc)
+    cfg = _run_config(args, args.trunc)
+    gap = verify_flow_commutation(u0, args.n, cfg)
+    print(f"flow-commutation gap (N={args.n}, t_final={cfg.t_final}): {gap:.3e} (tol {args.tol:.1e})")
+    _write_artifact(args.out, {**_header(args, n=args.n, tol=args.tol), "gap": gap})
+    return 0 if gap < args.tol else 1
 
 
 # ----------------------------------------------------------------- gn-check
 
 
 def _cmd_gn_check(args) -> int:
-    config = _load_config(args)
-    samples = int(_resolve(args, config, "samples", 10_000))
-    seed = int(_resolve(args, config, "seed", 42))
-    violations, worst = acceptance.gn_sweep(np.random.default_rng(seed), samples)
-    print(f"samples={samples} seed={seed} violations={violations} worst relative excess={worst:.3e}")
+    violations, worst = acceptance.gn_sweep(np.random.default_rng(args.seed), args.samples)
+    print(f"samples={args.samples} seed={args.seed} violations={violations} worst relative excess={worst:.3e}")
     _write_artifact(
         args.out,
-        {**_header(args, samples=samples, seed=seed), "violations": violations, "worst_excess": worst},
+        {**_header(args, samples=args.samples, seed=args.seed), "violations": violations, "worst_excess": worst},
     )
     return 0 if violations == 0 else 1
 
@@ -272,10 +215,53 @@ def _cmd_certify(args) -> int:
 
 # ----------------------------------------------------------------- parser
 
+_NOT_CONFIG_KEYS = {"config", "out", "out_csv", "out_jsonl"}
+
+
+class _ConfigFlags(argparse.Action):
+    """``--config file.json``: stores the file's keys as this subcommand's
+    flags (``{"t_final": 2}`` -> ``--t-final=2``), which :func:`main` parses
+    ahead of the flags given.  A key is a parameter flag the subcommand
+    reads: not an output path, a switch or a required flag."""
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        try:
+            with open(path) as f:
+                config = json.load(f)
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read config {path}: {exc}")
+        if not isinstance(config, dict):
+            parser.error("config file must hold a single JSON object")
+        flags = {
+            a.dest: a.option_strings[0]
+            for a in parser._actions
+            if a.option_strings and a.nargs != 0 and not a.required and a.dest not in _NOT_CONFIG_KEYS
+        }
+        for key in config:
+            if key not in flags:
+                parser.error(f"config key {key!r} is not a parameter of {parser.prog}")
+        setattr(namespace, self.dest, [f"{flags[key]}={value}" for key, value in config.items()])
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags take precedence over it")
+    p.add_argument("--config", action=_ConfigFlags, help="JSON config file; flags take precedence over it")
     p.add_argument("--out", help="write a JSON artifact here")
+
+
+def _add_wave_flags(p: argparse.ArgumentParser, family: str | None) -> None:
+    p.add_argument("--family", choices=["I", "II"], default=family)
+    p.add_argument("--lambda-re", type=float, default=1.0)
+    p.add_argument("--lambda-im", type=float, default=0.0)
+    p.add_argument("--p-re", type=float, default=0.5)
+    p.add_argument("--p-im", type=float, default=0.0)
+    p.add_argument("--n-comp", type=int, default=1)
+
+
+def _add_run_flags(p: argparse.ArgumentParser, cfg: SimulationConfig) -> None:
+    p.add_argument("--dt", type=float, default=cfg.dt)
+    p.add_argument("--t-final", type=float, default=cfg.t_final)
+    p.add_argument("--stride", type=int, default=cfg.monitor_stride)
+    p.add_argument("--tol-drift", type=float, default=cfg.tol_drift)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,55 +270,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate an initial state with monitors")
     p.add_argument("--state", help="JSON file holding the initial coefficients")
-    p.add_argument("--family", choices=["I", "II"])
-    p.add_argument("--lambda-re", dest="lambda_re", type=float)
-    p.add_argument("--lambda-im", dest="lambda_im", type=float)
-    p.add_argument("--p-re", dest="p_re", type=float)
-    p.add_argument("--p-im", dest="p_im", type=float)
-    p.add_argument("--n-comp", dest="n_comp", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-final", dest="t_final", type=float)
+    _add_wave_flags(p, family=None)
+    _add_run_flags(p, _SIMULATE)
     p.add_argument("--trunc", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--tol-drift", dest="tol_drift", type=float)
-    p.add_argument("--out-csv", dest="out_csv")
-    p.add_argument("--out-jsonl", dest="out_jsonl")
+    p.add_argument("--out-csv")
+    p.add_argument("--out-jsonl")
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify-tw", help="traveling-wave residuals (single point or grid)")
     p.add_argument("--grid", action="store_true", help="run the full (family, lambda, p, N) grid")
-    p.add_argument("--family", choices=["I", "II"])
-    p.add_argument("--lambda-re", dest="lambda_re", type=float)
-    p.add_argument("--lambda-im", dest="lambda_im", type=float)
-    p.add_argument("--p-re", dest="p_re", type=float)
-    p.add_argument("--p-im", dest="p_im", type=float)
-    p.add_argument("--n-comp", dest="n_comp", type=int)
-    p.add_argument("--tol", type=float)
+    _add_wave_flags(p, family="I")
+    p.add_argument("--tol", type=float, default=acceptance.TW_TOL)
     _add_common(p)
     p.set_defaults(func=_cmd_verify_tw)
 
     p = sub.add_parser("spectral", help="spectral report and Lax residuals of a state")
     p.add_argument("--state", required=True)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
     p.add_argument("--block", type=int)
     _add_common(p)
     p.set_defaults(func=_cmd_spectral)
 
     p = sub.add_parser("instability", help="perturbed translated-ground-state experiment")
-    p.add_argument("--r", type=float)
-    p.add_argument("--gamma", type=float)
+    p.add_argument("--r", type=float, default=acceptance.INSTABILITY_R)
+    p.add_argument("--gamma", type=float, default=acceptance.INSTABILITY_GAMMA)
     p.add_argument("--eps0", type=float)
     p.add_argument("--dt", type=float, help="sample spacing of the reduced trajectory")
-    p.add_argument("--t-final", dest="t_final", type=float)
+    p.add_argument("--t-final", type=float)
     _add_common(p)
-    p.set_defaults(func=_cmd_instability)
+    defaults = inspect.signature(instability_experiment).parameters  # eps0, dt, t_final
+    p.set_defaults(func=_cmd_instability, **{k: v.default for k, v in defaults.items() if v.default is not v.empty})
 
     p = sub.add_parser("steady", help="build/verify an equilibrium family member")
-    p.add_argument("--theta", type=float)
-    p.add_argument("--scale", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
+    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--a", type=float, default=0.0)
+    p.add_argument("--b", type=float, default=0.0)
     p.add_argument("--trunc", type=int)
     p.add_argument("--verify", action="store_true")
     _add_common(p)
@@ -345,20 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compose)
 
     p = sub.add_parser("compose-check", help="flow-commutation check under z -> z^N")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, default=2)
     p.add_argument("--state")
-    p.add_argument("--trunc", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--tol-drift", dest="tol_drift", type=float)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--trunc", type=int, default=acceptance.COMPOSE_CONFIG.trunc)
+    _add_run_flags(p, acceptance.COMPOSE_CONFIG)
+    p.add_argument("--tol", type=float, default=acceptance.COMPOSE_TOL)
     _add_common(p)
     p.set_defaults(func=_cmd_compose_check)
 
     p = sub.add_parser("gn-check", help="seeded sweep of the energy inequality")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--samples", type=int, default=acceptance.GN_SAMPLES)
+    p.add_argument("--seed", type=int, default=acceptance.GN_SEED)
     _add_common(p)
     p.set_defaults(func=_cmd_gn_check)
 
@@ -372,7 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    if getattr(args, "config", None) is not None:
+        # the one merge: defaults, then the config's flags, then the flags given
+        args = parser.parse_args([args.subcommand, *args.config, *argv[1:]])
     try:
         return args.func(args)
     except QuadSzegoError as exc:

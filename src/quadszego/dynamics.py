@@ -70,6 +70,10 @@ class SimulationConfig:
             raise ValueError("monitor_stride must be >= 1")
         if self.trunc < 2:
             raise ValueError("trunc must be >= 2")
+        if not self.tol_drift > 0:
+            raise ValueError("tol_drift must be > 0")
+        if self.n_spectrum < 1:
+            raise ValueError("n_spectrum must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)

@@ -72,8 +72,8 @@ def _j_step(v: np.ndarray) -> tuple[complex, np.ndarray]:
     ``J`` is the mean of ``|v|^2 v``, summed pairwise, exact because no
     nonzero frequency of ``u^2 conj(u)`` is a multiple of the grid length; a
     BLAS dot product's round-off at millions of modes would exceed the
-    equilibrium certificate's 1e-11 gate.  Every ``J`` in the package comes
-    from here, so all callers agree bit for bit.
+    equilibrium certificate's gate, ``steady.STEADY_TOL``.  Every ``J`` in
+    the package comes from here, so all callers agree bit for bit.
     """
     abs2 = v.real**2
     abs2 += v.imag**2
@@ -217,6 +217,8 @@ class HardyCoefficients:
         im = np.asarray(payload["im"], dtype=float)
         if len(re) != payload["trunc"] or len(im) != payload["trunc"]:
             raise ValueError("trunc does not match coefficient arrays")
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise ValueError("state coefficients must be finite (NaN or Infinity in the file)")
         return HardyCoefficients(re + 1j * im)
 
 

@@ -49,7 +49,11 @@ __all__ = [
     "steadiness_measure",
     "is_steady",
     "explicit_example",
+    "STEADY_TOL",
 ]
+
+# the equilibrium gate on |J| and the flow norm: criterion 10, `szego steady --verify`, is_steady
+STEADY_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -167,7 +171,7 @@ def steadiness_measure(
 
     Near the ``theta -> pi/3`` endpoint the equilibrium condition is badly
     conditioned in the family constants: rounding ``P`` to double moves the
-    state off the zero-J set by ``~|dJ/dP| * eps``, which exceeds 1e-11 for
+    state off the zero-J set by ``~|dJ/dP| * eps``, above ``STEADY_TOL`` for
     the last few percent of the parameter range.  ``extended=True`` (the
     default once the needed truncation passes 50k modes) therefore evaluates
     the constants and the coefficients in 80-bit precision and rounds each
@@ -194,7 +198,7 @@ def steadiness_measure(
     return SteadinessMeasure(abs_j=float(abs(j)), rhs_norm=rhs_norm, trunc=tr, extended=extended)
 
 
-def is_steady(u: HardyCoefficients, tol: float = 1e-11) -> bool:
+def is_steady(u: HardyCoefficients, tol: float = STEADY_TOL) -> bool:
     """Whether ``u`` is an equilibrium: ``|J(u)| < tol``.
 
     Equilibria are exactly the zero-J states, so this is equivalent to a

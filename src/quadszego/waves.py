@@ -177,12 +177,11 @@ def verify_standing(u: HardyCoefficients, modes_checked: int) -> float:
     """Max modulus of ``u_hat(k) - [2 Pi(|u|^2) + u^2]_hat(k)`` over ``k < modes_checked``.
 
     The slowly decaying tail of arc profiles demands headroom:
-    ``modes_checked <= trunc/4`` is enforced, and the residual then reflects
-    only tail truncation (it decays like 1/trunc on arc data).
+    ``1 <= modes_checked <= trunc/4`` is enforced (no modes would check
+    nothing), and the residual then reflects only tail truncation (it decays
+    like 1/trunc on arc data).
     """
-    if modes_checked > u.trunc / 4:
-        raise ValueError("modes_checked must not exceed trunc/4")
-    if not modes_checked:
-        return 0.0
+    if not 1 <= modes_checked <= u.trunc / 4:
+        raise ValueError(f"modes_checked must lie in [1, trunc/4], got {modes_checked}")
     u2, abs2 = quadratic_products(u.coeffs, modes_checked)
     return float(np.max(np.abs(u.coeffs[:modes_checked] - 2.0 * abs2 - u2)))

@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quadszego import acceptance
-from quadszego.cli import main
+from quadszego import acceptance, cli
+from quadszego.cli import build_parser, main
 from quadszego.hardy import HardyCoefficients
 from quadszego.operators import shifted_hankel
 
@@ -16,6 +18,14 @@ from quadszego.operators import shifted_hankel
 def write_state(path, coeffs):
     with open(path, "w") as f:
         json.dump(HardyCoefficients(coeffs).to_json(), f)
+
+
+def exit_code(argv):
+    """What ``szego`` exits with: argparse's usage errors raise SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_verify_tw_single_point(capsys):
@@ -204,3 +214,114 @@ def test_trajectory_too_short_is_check_failure(capsys):
     code = main(["instability", "--r", "0.25", "--gamma", "0.05", "--dt", "1e-4", "--t-final", "3e-4"])
     assert code == 1
     assert "[TRAJ_TOO_SHORT]" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------- the parameter merge
+
+
+def test_config_key_not_read_is_usage_error(tmp_path, capsys):
+    # a misspelled key (the flag is --tol) must not leave the default 1e-9 in force
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"tolerance": 1e-30}))
+    assert exit_code(["verify-tw", "--config", str(cfgfile)]) == 2
+    assert "'tolerance'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["certify", "--quick"], {"quick": True}),  # a switch, not a parameter
+        (["simulate", "--family", "I"], {"out_csv": "traj.csv"}),  # an output path
+        (["spectral", "--state", "state.json"], {"state": "other.json"}),  # required on the command line
+    ],
+    ids=["certify-switch", "simulate-output", "spectral-required"],
+)
+def test_config_keys_are_parameters_only(argv, config, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_cmd_" + argv[0].replace("-", "_"), lambda args: pytest.fail("command ran"))
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    assert exit_code([*argv, "--config", str(cfgfile)]) == 2
+    assert repr(next(iter(config))) in capsys.readouterr().err
+
+
+def test_config_value_failing_flag_type_is_usage_error(tmp_path, capsys):
+    # {"seed": 1.5} used to run and record seed 1 in the artifact header
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"seed": 1.5, "samples": 10}))
+    out = tmp_path / "gn.json"
+    assert exit_code(["gn-check", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_state_is_loaded(tmp_path, capsys):
+    # compose-check used to ignore a config "state" and run the default datum
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"state": str(tmp_path / "absent.json")}))
+    assert exit_code(["compose-check", "--config", str(cfgfile), "--t-final", "0.01"]) == 2
+    assert "absent.json" in capsys.readouterr().err
+
+
+MERGE_CASES = [
+    (["simulate"], "t_final", 2, "--t-final=0.25", 0.25),
+    (["verify-tw"], "p_re", 0.3, "--p-re=0.2", 0.2),
+    (["spectral", "--state", "state.json"], "block", 8, "--block=4", 4),
+    (["instability"], "gamma", 0.05, "--gamma=0.02", 0.02),
+    (["steady"], "theta", 0.5, "--theta=0.25", 0.25),
+    (["compose-check"], "n", 3, "--n=4", 4),
+    (["gn-check"], "seed", 1, "--seed=7", 7),
+]
+
+
+@pytest.mark.parametrize("argv, key, config_value, flag, flag_value", MERGE_CASES, ids=[c[0][0] for c in MERGE_CASES])
+def test_flag_beats_config_beats_default(argv, key, config_value, flag, flag_value, tmp_path, monkeypatch):
+    # the command is replaced, so this checks the merged parameters and runs nothing
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_" + argv[0].replace("-", "_"), lambda args: seen.append(vars(args)[key]) or 0)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({key: config_value}))
+    config = ["--config", str(cfgfile)]
+    for extra in ([], config, [flag, *config], [*config, flag]):
+        assert main([*argv, *extra]) == 0
+    assert seen[0] not in (config_value, flag_value)
+    assert seen[1:] == [config_value, flag_value, flag_value]
+
+
+def test_compose_check_default_is_criterion_11(tmp_path):
+    out = tmp_path / "cc.json"
+    assert main(["compose-check", "--out", str(out)]) == 0
+    gap = json.loads(out.read_text())["gap"]
+    assert gap == acceptance.criterion_11_composition_invariance().details["gap_N2"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--t-final", "0.01"], ["compose-check", "--t-final", "0.01"], ["spectral"]],
+    ids=lambda argv: argv[0],
+)
+def test_nonfinite_state_file_is_usage_error(argv, value, tmp_path, capsys):
+    # json parses NaN and Infinity; they used to surface as a NONFINITE check
+    # failure at step 1 (simulate, compose-check) or an SVD failure (spectral)
+    coeffs = 0.5 ** np.arange(32)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"trunc": 32, "re": [*coeffs[:-1], value], "im": [0.0] * 32}))
+    assert main([*argv, "--state", str(state)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_simulate_nonpositive_tol_drift_is_usage_error(capsys):
+    assert main(["simulate", "--family", "I", "--tol-drift", "-1", "--t-final", "0.01"]) == 2
+    assert "tol_drift must be > 0" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    # parse only: the README must not advertise a flag the parser lacks
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("szego ")]
+    assert len(lines) == 9
+    parser = build_parser()
+    for line in lines:
+        for variant in (line.replace("[--quick]", "--quick"), line.replace("[--quick]", "")):
+            parser.parse_args(shlex.split(variant)[1:])

@@ -417,6 +417,11 @@ def test_config_validation():
         SimulationConfig(dt=0.0, t_final=1.0, trunc=16)
     with pytest.raises(ValueError):
         SimulationConfig(dt=1e-3, t_final=1.0, trunc=16, monitor_stride=0)
+    # a nonpositive drift tolerance would report every step as drift, and a
+    # nonpositive spectrum width failed only on the first k2_spectra read
+    for bad in ({"tol_drift": 0.0}, {"tol_drift": -1.0}, {"n_spectrum": 0}, {"n_spectrum": -2}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SimulationConfig(dt=1e-3, t_final=1.0, trunc=16, **bad)
 
 
 # ---------------------------------------------------------------- exports

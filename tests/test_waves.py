@@ -210,6 +210,8 @@ def test_verify_standing_zero():
 
 
 def test_verify_standing_headroom_guard():
+    # past trunc/4 the tail dominates; no modes at all checked nothing and read 0.0
     u = standing_wave_arc(0.25, [(0.0, np.pi / 2)], 64)
-    with pytest.raises(ValueError):
-        verify_standing(u, 32)
+    for modes_checked in (32, 0, -3):
+        with pytest.raises(ValueError, match="modes_checked"):
+            verify_standing(u, modes_checked)
