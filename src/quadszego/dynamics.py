@@ -10,12 +10,10 @@ nothing aliases onto a kept mode.
 
 Invariants are recorded during integration, because their drift aborts it.
 The K^2 spectra are not: a :class:`TrajectoryRecord` computes them on first
-read and shares them with :func:`rank_conservation_check`.  They are the
-top values of a certified sketch of ``K`` (its first ``n_spectrum + 4``
-columns), within round-off of the dense ``svdvals``, and the dense values
-themselves where the sketch cannot certify them (full-rank data).  There
-the failed sketch is paid on top of the dense SVD: about 1.6 ms next to
-13.7 ms at trunc 256 on one BLAS thread.
+read and shares them with :func:`rank_conservation_check`.  One rule,
+:func:`_certified_singular_values`, gives the singular values of ``H`` and
+``K`` to both: a sketch of the first columns where it certifies them to
+round-off, the dense ``svdvals`` elsewhere.
 """
 
 from __future__ import annotations
@@ -48,7 +46,8 @@ _SKETCH_OVERSAMPLE = 4
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Fixed-step integration parameters.
+    """Fixed-step integration parameters; ``t_final`` is a whole number of
+    steps ``dt`` (to 1e-9 of a step), of ``dt``'s sign.
 
     ``monitor_stride`` controls how often snapshots (state and invariants)
     are recorded; drift of Q, M, E beyond ``tol_drift`` (relative to t=0)
@@ -66,6 +65,9 @@ class SimulationConfig:
     def __post_init__(self):
         if self.dt == 0:
             raise ValueError("dt must be nonzero")
+        steps = self.t_final / self.dt
+        if not (np.isfinite(steps) and round(steps) >= 0 and abs(steps - round(steps)) <= 1e-9):
+            raise ValueError(f"t_final must be a whole number of dt steps of dt's sign, got t_final/dt = {steps!r}")
         if self.monitor_stride < 1:
             raise ValueError("monitor_stride must be >= 1")
         if self.trunc < 2:
@@ -80,17 +82,10 @@ class SimulationConfig:
 class TrajectoryRecord:
     """Snapshots of an integrated trajectory (immutable once returned).
 
-    The K singular values are computed on first read, once per snapshot,
-    cached read-only and shared by ``k2_spectra`` and
-    :func:`rank_conservation_check`, which stops at the first failing
-    snapshot without computing the rest.  Each snapshot keeps a pair
-    ``(s, r)``: every singular value ``sigma_j`` of ``K`` lies within ``r``
-    of ``s_j`` (and in ``[0, r]`` past ``len(s)``).  It comes from the
-    certified sketch of :func:`~quadszego.operators.sketched_singular_values`
-    of width ``n_spectrum + 4``, accepted when ``r <= 16 M eps ||K||_F``, that
-    is when the first columns span ``K`` to working precision; otherwise
-    (full-rank data, or a sketch as wide as ``K``) it is every singular value
-    from ``svdvals`` with ``r = 0``.
+    Each snapshot's K singular values are computed on first read, as the
+    pair ``(s, r)`` of :func:`_certified_singular_values` at width
+    ``n_spectrum + 4``, cached read-only and shared by ``k2_spectra`` and
+    :func:`rank_conservation_check`.
     """
 
     times: np.ndarray
@@ -110,14 +105,7 @@ class TrajectoryRecord:
         cached = self._k_sketch[i]
         if cached is None:
             k = shifted_hankel(self.states[i])
-            m = len(k)
-            width = self.n_spectrum + _SKETCH_OVERSAMPLE
-            if width < m:
-                s, r = sketched_singular_values(k, width)
-                if r <= 16 * m * np.finfo(float).eps * np.linalg.norm(k):
-                    cached = (s, r)
-            if cached is None:
-                cached = (np.linalg.svdvals(k), 0.0)
+            cached = _certified_singular_values(k, self.n_spectrum + _SKETCH_OVERSAMPLE)
             cached[0].flags.writeable = False
             self._k_sketch[i] = cached
         return cached
@@ -158,8 +146,6 @@ def integrate(u0: HardyCoefficients, cfg: SimulationConfig) -> TrajectoryRecord:
     """
     dt = cfg.dt
     n_steps = int(round(cfg.t_final / dt))
-    if n_steps < 0:
-        raise ValueError("t_final and dt must have the same sign")
     c = u0.padded(cfg.trunc) if u0.trunc <= cfg.trunc else u0.coeffs[: cfg.trunc].copy()
     c = np.array(c, dtype=np.complex128)
 
@@ -228,15 +214,21 @@ def _certified_count(s: np.ndarray, r: float, scales: tuple[float, float], tol: 
     return int(np.sum(above))
 
 
-def _sketched_rank(h: np.ndarray, width: int, tol: float) -> tuple[int, tuple[float, float]] | None:
-    """Certified ``#{j : sigma_j(h)^2 > tol sigma_1(h)^2}`` from
-    :func:`~quadszego.operators.sketched_singular_values`, with a bracket of
-    the scale ``sigma_1^2``; ``None`` when the bound cannot settle the count.
+def _certified_singular_values(mat: np.ndarray, width: int) -> tuple[np.ndarray, float]:
+    """``(s, r)`` for the square ``mat``: descending values ``s`` with every
+    ``sigma_j(mat)`` within ``r`` of ``s_j`` (and in ``[0, r]`` past
+    ``len(s)``).  The sketch of
+    :func:`~quadszego.operators.sketched_singular_values` of width ``width``
+    when it is narrower than ``mat`` and ``r <= 16 M eps ||mat||_F``, that is
+    when the first columns span ``mat`` to working precision; otherwise
+    every value from ``svdvals`` with ``r = 0``.
     """
-    s, r = sketched_singular_values(h, width)
-    scales = (max(max(s[0] - r, 0.0) ** 2, 1e-300), max((s[0] + r) ** 2, 1e-300))
-    rank = _certified_count(s, r, scales, tol)
-    return None if rank is None else (rank, scales)
+    m = len(mat)
+    if width < m:
+        s, r = sketched_singular_values(mat, width)
+        if r <= 16 * m * np.finfo(float).eps * np.linalg.norm(mat):
+            return s, r
+    return np.linalg.svdvals(mat), 0.0
 
 
 def rank_conservation_check(traj: TrajectoryRecord, d: int, tol: float = 1e-8) -> bool:
@@ -246,18 +238,14 @@ def rank_conservation_check(traj: TrajectoryRecord, d: int, tol: float = 1e-8) -
     ``rank H = N+1`` and ``rank K = N``.  Eigenvalues beyond the rank must
     stay below ``tol`` relative to the leading eigenvalue of ``H^2``.
 
-    The H rank comes from a sketch: the top ``rank H + 4`` singular values
-    of ``H`` and a bound ``r`` on their distance to the true ones (see
-    :func:`~quadszego.operators.sketched_singular_values`), which also
-    brackets the scale.  The K rank is counted from the record's cached K
-    values and their bound, at both ends of that bracket.  When a bound
-    leaves any count open, or the sketch would be as wide as ``H``, the
-    snapshot takes every singular value of ``H``, and of ``K`` too if its
-    cached values still leave the count open; those dense K values are not
-    cached, so ``k2_spectra`` does not depend on which is read first.  The
-    decisions are those of the dense route.  ``H`` comes first and the check
-    stops at the first failing snapshot, so a failing check computes no K
-    values past it.
+    Both counts are certified from ``(s, r)`` pairs (see
+    :func:`_certified_count`): H's from :func:`_certified_singular_values`
+    at width ``rank H + 4``, which also brackets the scale, K's from the
+    record's cache.  Where either count is open, the snapshot takes every
+    singular value of ``H`` and of ``K`` (not cached, so ``k2_spectra`` does
+    not depend on which is read first) and counts exactly; the decisions
+    are those of the dense route.  A wrong H count stops the check before
+    any K value of that snapshot is read.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -267,27 +255,20 @@ def rank_conservation_check(traj: TrajectoryRecord, d: int, tol: float = 1e-8) -
         return not any(state.norm() > tol for state in traj.states)
     n = d // 2
     want_h, want_k = (n, n) if d % 2 == 0 else (n + 1, n)
-    width = want_h + _SKETCH_OVERSAMPLE
     for i, state in enumerate(traj.states):
         h = hankel(state)
-        sketch = _sketched_rank(h, width, tol) if width < len(h) else None
-        if sketch is not None:
-            rank_h, scales = sketch
-            if rank_h != want_h:
-                return False
-            rank_k = _certified_count(*traj._k_sketch_at(i), scales, tol)
-            if rank_k is not None:
-                if rank_k != want_k:
-                    return False
-                continue
-        h_eigs = np.linalg.svdvals(h) ** 2
-        scale = max(h_eigs[0], 1e-300)
-        if int(np.sum(h_eigs > tol * scale)) != want_h:
+        s, r = _certified_singular_values(h, want_h + _SKETCH_OVERSAMPLE)
+        scales = (max(max(s[0] - r, 0.0) ** 2, 1e-300), max((s[0] + r) ** 2, 1e-300))
+        rank_h = _certified_count(s, r, scales, tol)
+        if rank_h is not None and rank_h != want_h:
             return False
-        rank_k = _certified_count(*traj._k_sketch_at(i), (scale, scale), tol)
-        if rank_k is None:
+        rank_k = _certified_count(*traj._k_sketch_at(i), scales, tol)
+        if rank_h is None or rank_k is None:
+            h_eigs = (np.linalg.svdvals(h) if r else s) ** 2  # r = 0: s is already dense
+            scale = max(h_eigs[0], 1e-300)
+            rank_h = int(np.sum(h_eigs > tol * scale))
             rank_k = int(np.sum(np.linalg.svdvals(shifted_hankel(state)) ** 2 > tol * scale))
-        if rank_k != want_k:
+        if (rank_h, rank_k) != (want_h, want_k):
             return False
     return True
 
@@ -295,9 +276,7 @@ def rank_conservation_check(traj: TrajectoryRecord, d: int, tol: float = 1e-8) -
 def trajectory_to_csv(traj: TrajectoryRecord, path) -> None:
     """Columns: t, Q, M, E, |J|, k2_eig_1..n.
 
-    The ``k2_eig_*`` columns are ``traj.k2_spectra``: certified top-n values
-    of ``K^2`` from the record's sketch, or the dense ``svdvals`` squared
-    where the sketch does not certify them.  Both are deterministic, so the
+    The ``k2_eig_*`` columns are ``traj.k2_spectra``, deterministic, so the
     file is byte-identical from run to run.
     """
     n_spec = traj.k2_spectra.shape[1]

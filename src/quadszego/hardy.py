@@ -213,9 +213,14 @@ class HardyCoefficients:
 
     @staticmethod
     def from_json(payload: dict) -> "HardyCoefficients":
+        if not isinstance(payload, dict):
+            raise ValueError("a state must be a JSON object with keys trunc, re, im")
+        for key in ("trunc", "re", "im"):
+            if key not in payload:
+                raise ValueError(f"state is missing the key {key!r}")
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
-        if len(re) != payload["trunc"] or len(im) != payload["trunc"]:
+        if re.shape != (payload["trunc"],) or im.shape != (payload["trunc"],):
             raise ValueError("trunc does not match coefficient arrays")
         if not (np.isfinite(re).all() and np.isfinite(im).all()):
             raise ValueError("state coefficients must be finite (NaN or Infinity in the file)")

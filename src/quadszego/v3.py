@@ -184,14 +184,17 @@ def v3_integrate(
     shape; the run ends at the first sample where it holds, and the solver
     never gets further than one step past it.  Raises
     :class:`DegenerateState` near ``|p| = 1`` or ``c = 0``, checked at every
-    right-hand-side evaluation, and ``ValueError`` up front for ``dt == 0``
-    or ``stride < 1``.
+    right-hand-side evaluation, and ``ValueError`` up front for ``dt == 0``,
+    ``stride < 1`` or a ``t_final`` that is not a whole number of ``dt``.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    n_steps = int(round(abs(t_final) / abs(dt)))
+    steps = abs(t_final) / abs(dt)
+    if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
+        raise ValueError(f"t_final must be a whole number of samples dt, got |t_final/dt| = {steps!r}")
+    n_steps = int(round(steps))
     h = math.copysign(abs(dt), t_final)
     d0 = derived(s0)
 
@@ -385,6 +388,8 @@ def instability_experiment(
     """
     if not 0 <= gamma < math.pi / 2:
         raise ValueError("gamma must lie in [0, pi/2) so that cos(pi + gamma) > -1 strictly")
+    if not eps0 > 0:
+        raise ValueError(f"eps0 must be > 0 (the exit ball's radius), got {eps0}")
     base = translated_ground_state(r)
     pert = translated_ground_state(r, gamma)
     d_base = derived(base)

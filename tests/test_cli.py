@@ -310,6 +310,35 @@ def test_nonfinite_state_file_is_usage_error(argv, value, tmp_path, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload, message", [({"trunc": 2, "re": [1, 0.5]}, "'im'"), ([1, 0.5], "JSON object")])
+@pytest.mark.parametrize(
+    "argv",
+    [["spectral", "--state"], ["simulate", "--t-final", "0.01", "--state"], ["compose", "--n", "2", "--in"],
+     ["compose-check", "--t-final", "0.01", "--state"]],
+    ids=lambda argv: argv[0],
+)
+def test_malformed_state_file_is_usage_error(argv, payload, message, tmp_path, capsys):
+    # a missing key or a non-object payload crashed with a traceback (exit 1)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(payload))
+    out = ["--out", str(tmp_path / "out.json")] if argv[0] == "compose" else []
+    assert main([*argv, str(state), *out]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps0", ["0", "-1"])
+def test_instability_nonpositive_eps0_is_usage_error(eps0, capsys):
+    # a radius <= 0 ended the run at its first sample: TRAJ_TOO_SHORT, exit 1
+    assert main(["instability", "--eps0", eps0]) == 2
+    assert "eps0 must be > 0" in capsys.readouterr().err
+
+
+def test_simulate_partial_step_horizon_is_usage_error(capsys):
+    # round(0.1 / 0.3) = 0 steps: the run did nothing and exited 0
+    assert main(["simulate", "--family", "I", "--dt", "0.3", "--t-final", "0.1"]) == 2
+    assert "whole number of dt steps" in capsys.readouterr().err
+
+
 def test_simulate_nonpositive_tol_drift_is_usage_error(capsys):
     assert main(["simulate", "--family", "I", "--tol-drift", "-1", "--t-final", "0.01"]) == 2
     assert "tol_drift must be > 0" in capsys.readouterr().err

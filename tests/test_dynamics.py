@@ -422,6 +422,11 @@ def test_config_validation():
     for bad in ({"tol_drift": 0.0}, {"tol_drift": -1.0}, {"n_spectrum": 0}, {"n_spectrum": -2}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             SimulationConfig(dt=1e-3, t_final=1.0, trunc=16, **bad)
+    # integrate took round(t_final / dt) steps: 0.1 at dt 0.03 ended at 0.09,
+    # at dt 0.3 it took none; a horizon against dt's sign is rejected here too
+    for dt, t_final in ((0.03, 0.1), (0.3, 0.1), (1e-3, -1.0), (-1e-3, 1.0), (1e-3, float("nan"))):
+        with pytest.raises(ValueError, match="t_final"):
+            SimulationConfig(dt=dt, t_final=t_final, trunc=16)
 
 
 # ---------------------------------------------------------------- exports

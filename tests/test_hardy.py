@@ -350,6 +350,17 @@ def test_json_rejects_mismatched_trunc():
         HardyCoefficients.from_json({"trunc": 3, "re": [1.0], "im": [0.0]})
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [({"trunc": 2, "re": [1.0, 0.5]}, "'im'"), ([1.0, 0.5], "JSON object"), ({"trunc": 1, "re": 1.0, "im": 0.0}, "trunc")],
+    ids=["missing_im", "list", "scalar_re"],
+)
+def test_json_rejects_malformed_payload(payload, message):
+    # these raised KeyError / TypeError, which the CLI reports as a crash
+    with pytest.raises(ValueError, match=message):
+        HardyCoefficients.from_json(payload)
+
+
 def test_import_leaves_scipy_signal_unloaded():
     # scipy.signal (and the scipy.stats it pulls in) costs most of the import
     src = str(Path(quadszego.__file__).resolve().parent.parent)

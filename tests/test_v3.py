@@ -257,13 +257,20 @@ def test_v3_integrate_raises_near_degenerate():
 
 
 @pytest.mark.parametrize(
-    "dt, stride, message",
-    [(0.0, 100, "dt must be nonzero"), (1e-3, 0, "stride must be >= 1"), (1e-3, -3, "stride must be >= 1")],
-    ids=["dt0", "stride0", "stride-3"],
+    "dt, t_final, stride, message",
+    [
+        (0.0, 1.0, 100, "dt must be nonzero"),
+        (1e-3, 1.0, 0, "stride must be >= 1"),
+        (1e-3, 1.0, -3, "stride must be >= 1"),
+        # not a whole number of samples: the horizon was rounded to 0.09 and 0
+        (0.03, 0.1, 100, "whole number"),
+        (0.3, -0.1, 100, "whole number"),
+    ],
+    ids=["dt0", "stride0", "stride-3", "t_final_rounded", "t_final_below_one_sample"],
 )
-def test_v3_integrate_rejects_zero_dt(dt, stride, message):
+def test_v3_integrate_rejects_zero_dt(dt, t_final, stride, message):
     with pytest.raises(ValueError, match=message):
-        v3_integrate(V3State(b=0.3 + 0.1j, c=1.0, p=0.4), dt, 1.0, stride=stride)
+        v3_integrate(V3State(b=0.3 + 0.1j, c=1.0, p=0.4), dt, t_final, stride=stride)
 
 
 def test_v3_drift_values_are_floats():
@@ -362,6 +369,13 @@ def test_instability_gamma_zero_is_quiescent():
     assert rep.delta_ecal == 0.0
     assert rep.y_max_abs < 1e-10
     assert not rep.escaped
+
+
+@pytest.mark.parametrize("eps0", [0.0, -1.0])
+def test_instability_rejects_nonpositive_eps0(eps0):
+    # an exit ball of radius <= 0 stopped both runs at their first sample
+    with pytest.raises(ValueError, match="eps0"):
+        instability_experiment(0.25, 1e-2, eps0=eps0)
 
 
 def test_instability_rejects_bad_gamma():
