@@ -9,11 +9,13 @@ FFT returns the first ``trunc`` modes, so the state dimension stays fixed and
 nothing aliases onto a kept mode.
 
 Invariants are recorded during integration, because their drift aborts it.
-The K^2 spectra are not: a :class:`TrajectoryRecord` computes them on first
-read and shares them with :func:`rank_conservation_check`.  One rule,
-:func:`_certified_singular_values`, gives the singular values of ``H`` and
-``K`` to both: a sketch of the first columns where it certifies them to
-round-off, the dense ``svdvals`` elsewhere.
+The Hankel spectra are not: a :class:`TrajectoryRecord` computes them on
+first read and shares them between ``k2_spectra`` and
+:func:`rank_conservation_check`.  For a truncated state ``K`` is ``H``
+shifted one column left, so one QR of ``H``'s first columns sketches both
+(:func:`~quadszego.operators.sketched_hankel_pair`); each half is kept where
+it certifies its matrix to round-off, and that matrix takes the dense
+``svdvals`` elsewhere.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import DriftExceeded, NonFiniteState
 from .hardy import ConservedTriple, HardyCoefficients, conserved, j_and_flow
-from .operators import hankel, shifted_hankel, sketched_singular_values
+from .operators import hankel, shifted_hankel, sketched_hankel_pair
 
 __all__ = [
     "SimulationConfig",
@@ -39,8 +41,8 @@ __all__ = [
     "trajectory_to_jsonl",
 ]
 
-#: columns a sketch takes beyond what it certifies: the rank of H in the rank
-#: check, the ``n_spectrum`` monitored values of K in the record
+#: columns K's half of a snapshot's sketch takes beyond the ``n_spectrum``
+#: values it monitors; the sketch of H takes one more
 _SKETCH_OVERSAMPLE = 4
 
 
@@ -82,10 +84,17 @@ class SimulationConfig:
 class TrajectoryRecord:
     """Snapshots of an integrated trajectory (immutable once returned).
 
-    Each snapshot's K singular values are computed on first read, as the
-    pair ``(s, r)`` of :func:`_certified_singular_values` at width
-    ``n_spectrum + 4``, cached read-only and shared by ``k2_spectra`` and
-    :func:`rank_conservation_check`.
+    Each snapshot's singular values of ``H`` and ``K`` are computed on first
+    read as ``(s, r)`` pairs: descending ``s`` with every singular value
+    within ``r`` of them (and in ``[0, r]`` past ``len(s)``).  One
+    :func:`~quadszego.operators.sketched_hankel_pair` of width
+    ``n_spectrum + 5`` gives both, so K's half sees ``n_spectrum + 4``
+    columns.  A half is kept when ``r <= 16 M eps ||.||_F``, with
+    ``||H||_F = sqrt(Q + M)`` and ``||K||_F = sqrt(M)`` from the snapshot's
+    invariants; otherwise, and for both once the width reaches ``M``, the
+    matrix takes its dense ``svdvals`` with ``r = 0`` on first read.  The
+    pairs are cached read-only and shared by ``k2_spectra`` (K) and
+    :func:`rank_conservation_check` (H and K).
     """
 
     times: np.ndarray
@@ -97,18 +106,33 @@ class TrajectoryRecord:
     def __post_init__(self):
         if not len(self.states) == len(self.invariants) == len(self.times):
             raise ValueError("all snapshot sequences must share one length")
-        object.__setattr__(self, "_k_sketch", [None] * len(self.states))
+        object.__setattr__(self, "_pairs", [None] * len(self.states))
+
+    def _certified_at(self, i: int, half: int) -> tuple[np.ndarray, float]:
+        """``(s, r)`` for ``H`` (``half = 0``) or ``K`` (``half = 1``) at
+        snapshot ``i``; the sketch is taken once, a dense half on first read."""
+        pair = self._pairs[i]
+        if pair is None:
+            pair = self._pairs[i] = [None, None]
+            state, inv = self.states[i], self.invariants[i]
+            m = state.trunc
+            width = self.n_spectrum + _SKETCH_OVERSAMPLE + 1
+            if width < m:
+                limit = 16 * m * np.finfo(float).eps
+                sketch = sketched_hankel_pair(hankel(state), width)
+                for j, ((s, r), norm2) in enumerate(zip(sketch, (inv.Q + inv.M, inv.M))):
+                    if r <= limit * np.sqrt(norm2):
+                        s.flags.writeable = False
+                        pair[j] = (s, r)
+        if pair[half] is None:
+            s = np.linalg.svdvals((hankel, shifted_hankel)[half](self.states[i]))
+            s.flags.writeable = False
+            pair[half] = (s, 0.0)
+        return pair[half]
 
     def _k_sketch_at(self, i: int) -> tuple[np.ndarray, float]:
-        """``(s, r)`` for ``K_u`` at snapshot ``i``: descending values ``s``
-        and their certified error ``r``; computed once, on first read."""
-        cached = self._k_sketch[i]
-        if cached is None:
-            k = shifted_hankel(self.states[i])
-            cached = _certified_singular_values(k, self.n_spectrum + _SKETCH_OVERSAMPLE)
-            cached[0].flags.writeable = False
-            self._k_sketch[i] = cached
-        return cached
+        """``(s, r)`` for ``K_u`` at snapshot ``i``."""
+        return self._certified_at(i, 1)
 
     @cached_property
     def k2_spectra(self) -> np.ndarray:
@@ -214,23 +238,6 @@ def _certified_count(s: np.ndarray, r: float, scales: tuple[float, float], tol: 
     return int(np.sum(above))
 
 
-def _certified_singular_values(mat: np.ndarray, width: int) -> tuple[np.ndarray, float]:
-    """``(s, r)`` for the square ``mat``: descending values ``s`` with every
-    ``sigma_j(mat)`` within ``r`` of ``s_j`` (and in ``[0, r]`` past
-    ``len(s)``).  The sketch of
-    :func:`~quadszego.operators.sketched_singular_values` of width ``width``
-    when it is narrower than ``mat`` and ``r <= 16 M eps ||mat||_F``, that is
-    when the first columns span ``mat`` to working precision; otherwise
-    every value from ``svdvals`` with ``r = 0``.
-    """
-    m = len(mat)
-    if width < m:
-        s, r = sketched_singular_values(mat, width)
-        if r <= 16 * m * np.finfo(float).eps * np.linalg.norm(mat):
-            return s, r
-    return np.linalg.svdvals(mat), 0.0
-
-
 def rank_conservation_check(traj: TrajectoryRecord, d: int, tol: float = 1e-8) -> bool:
     """True iff the ranks prescribed by the class V(d) hold at every snapshot.
 
@@ -238,14 +245,17 @@ def rank_conservation_check(traj: TrajectoryRecord, d: int, tol: float = 1e-8) -
     ``rank H = N+1`` and ``rank K = N``.  Eigenvalues beyond the rank must
     stay below ``tol`` relative to the leading eigenvalue of ``H^2``.
 
-    Both counts are certified from ``(s, r)`` pairs (see
-    :func:`_certified_count`): H's from :func:`_certified_singular_values`
-    at width ``rank H + 4``, which also brackets the scale, K's from the
-    record's cache.  Where either count is open, the snapshot takes every
-    singular value of ``H`` and of ``K`` (not cached, so ``k2_spectra`` does
-    not depend on which is read first) and counts exactly; the decisions
-    are those of the dense route.  A wrong H count stops the check before
-    any K value of that snapshot is read.
+    Both counts are certified from the record's cached ``(s, r)`` pairs (see
+    :func:`_certified_count`), H's of which also brackets the scale: one
+    sketch of ``H`` per snapshot, whose shifted columns give ``K``.  A rank
+    of H above the sketch's width leaves a residual that fails the keep
+    rule, so that snapshot reads the dense values of ``H``.  Where either
+    count is open, the snapshot takes every singular value of ``H`` and of
+    ``K`` (not cached, so ``k2_spectra`` does not depend on which is read
+    first) and counts exactly; the decisions are those of the dense route.
+    A wrong H count stops the check before K's values of that snapshot are
+    read, and a check that fails at snapshot ``i`` has sketched snapshots
+    ``0..i`` only.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -256,18 +266,20 @@ def rank_conservation_check(traj: TrajectoryRecord, d: int, tol: float = 1e-8) -
     n = d // 2
     want_h, want_k = (n, n) if d % 2 == 0 else (n + 1, n)
     for i, state in enumerate(traj.states):
-        h = hankel(state)
-        s, r = _certified_singular_values(h, want_h + _SKETCH_OVERSAMPLE)
+        s, r = traj._certified_at(i, 0)
         scales = (max(max(s[0] - r, 0.0) ** 2, 1e-300), max((s[0] + r) ** 2, 1e-300))
         rank_h = _certified_count(s, r, scales, tol)
         if rank_h is not None and rank_h != want_h:
             return False
-        rank_k = _certified_count(*traj._k_sketch_at(i), scales, tol)
+        s_k, r_k = traj._certified_at(i, 1)
+        rank_k = _certified_count(s_k, r_k, scales, tol)
         if rank_h is None or rank_k is None:
-            h_eigs = (np.linalg.svdvals(h) if r else s) ** 2  # r = 0: s is already dense
+            # r = 0: the cached values are already dense
+            h_eigs = (np.linalg.svdvals(hankel(state)) if r else s) ** 2
+            k_eigs = (np.linalg.svdvals(shifted_hankel(state)) if r_k else s_k) ** 2
             scale = max(h_eigs[0], 1e-300)
             rank_h = int(np.sum(h_eigs > tol * scale))
-            rank_k = int(np.sum(np.linalg.svdvals(shifted_hankel(state)) ** 2 > tol * scale))
+            rank_k = int(np.sum(k_eigs > tol * scale))
         if (rank_h, rank_k) != (want_h, want_k):
             return False
     return True

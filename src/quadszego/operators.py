@@ -35,7 +35,7 @@ from .hardy import (
 __all__ = [
     "hankel",
     "shifted_hankel",
-    "sketched_singular_values",
+    "sketched_hankel_pair",
     "a_u",
     "SpectralReport",
     "spectral_report",
@@ -54,11 +54,11 @@ def _symbol_matrix(u: HardyCoefficients, size: int | None, offset: int) -> np.nd
     size = u.trunc if size is None else size
     if size < 2:
         raise ValueError("matrix size must be >= 2 (dominance undefined below that)")
-    full = np.zeros(2 * size + offset, dtype=np.complex128)
-    avail = min(len(full), u.trunc)
-    full[:avail] = u.coeffs[:avail]
-    j = np.arange(size)
-    return full[j[:, None] + j[None, :] + offset]
+    full = np.zeros(2 * size - 1, dtype=np.complex128)
+    kept = u.coeffs[offset : offset + len(full)]
+    full[: len(kept)] = kept
+    # row j of the window view is full[j : j + size]; copy it out contiguous
+    return np.lib.stride_tricks.sliding_window_view(full, size).copy()
 
 
 def hankel(u: HardyCoefficients, size: int | None = None) -> np.ndarray:
@@ -74,29 +74,47 @@ def shifted_hankel(u: HardyCoefficients, size: int | None = None) -> np.ndarray:
     return _symbol_matrix(u, size, offset=1)
 
 
-def sketched_singular_values(h: np.ndarray, width: int) -> tuple[np.ndarray, float]:
-    """The top ``width`` singular values ``s`` of an ``M x M`` matrix ``h``,
-    read off its first ``width`` columns, with a bound ``r`` on their error.
+def sketched_hankel_pair(h: np.ndarray, width: int) -> tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]:
+    """The top singular values of ``H = h`` and of ``K``, read off the first
+    ``width`` columns of ``h``, each with a bound on its error:
+    ``((s_H, r_H), (s_K, r_K))``.
 
-    ``q`` is the orthonormal factor of those columns and ``s`` are the
-    singular values of ``b = q^H h``.  Since ``h = q b + (h - q b)``, Weyl's
-    inequality gives ``|sigma_j(h) - s_j| <= r`` for every ``j``, with
-    ``s_j = 0`` past ``width``, where ``r = ||h - q b||_F`` plus a round-off
-    allowance of ``8 M eps ||h||_F``: the computed ``q``, ``b``, ``s`` and
-    residual each carry an error of order ``M eps ||h||``.  In exact
-    arithmetic also ``s_j <= sigma_j(h)``.  A Hankel matrix of a state close
-    to rank ``N`` is spanned, up to that closeness, by its first ``N``
-    columns, so for ``width`` a little above ``N`` the bound ``r`` is small.
+    ``h`` is the Hankel matrix ``H[j,k] = u_hat(j+k)`` of a state truncated
+    to its size ``M`` (``u_hat(n) = 0`` for ``n >= M``), so the shifted
+    Hankel matrix ``K`` is ``h`` shifted one column left, with a zero last
+    column.  ``q`` is the orthonormal factor of the first ``width`` columns
+    and ``b = q^H h``; then ``s_H`` are the singular values of ``b`` and
+    ``s_K`` those of ``b[:, 1:] = q^H K[:, :-1]``.  Since ``h = q b + res``
+    and ``K[:, :-1] = q b[:, 1:] + res[:, 1:]``, Weyl's inequality gives
+    ``|sigma_j - s_j| <= r`` for every ``j`` of either matrix, with
+    ``s_j = 0`` past ``width``, where ``r`` is the Frobenius norm of the
+    matrix's columns of ``res`` plus a round-off allowance of
+    ``8 M eps`` times the matrix's own ``||.||_F``: the computed ``q``,
+    ``b``, ``s`` and residual each carry an error of order ``M eps`` times
+    the columns they are built from.  The norms come from the coefficients,
+    ``||H||_F^2 = sum (n+1) |u_hat(n)|^2`` and ``||K||_F^2 = sum n
+    |u_hat(n)|^2``.  A Hankel matrix of a state close to rank ``N`` is
+    spanned, up to that closeness, by its first ``N`` columns, so for
+    ``width`` a little above ``N`` both bounds are small.
     """
     m = h.shape[1]
     if not 1 <= width <= m:
         raise ValueError(f"need 1 <= width <= {m}, got {width}")
+    if np.any(h[-1, 1:]):
+        raise ValueError("h must be the Hankel matrix of a state truncated to its size")
     q = np.linalg.qr(h[:, :width])[0]
     b = q.conj().T @ h
-    s = np.linalg.svdvals(b)
-    h_norm = np.linalg.norm(h)
-    r = float(np.linalg.norm(h - q @ b)) + 8 * m * np.finfo(float).eps * h_norm
-    return s, r
+    # minus the residual h - q b, K's columns (contiguous) apart from column 0
+    res_k = q @ b[:, 1:]
+    res_k -= h[:, 1:]
+    res_0 = q @ b[:, 0] - h[:, 0]
+    res_k2 = np.vdot(res_k, res_k).real
+    w = np.abs(h[0]) ** 2
+    k_norm2 = float(np.arange(m) @ w)
+    allowance = 8 * m * np.finfo(float).eps
+    r_h = float(np.sqrt(res_k2 + np.vdot(res_0, res_0).real)) + allowance * np.sqrt(k_norm2 + w.sum())
+    r_k = float(np.sqrt(res_k2)) + allowance * np.sqrt(k_norm2)
+    return (np.linalg.svdvals(b), r_h), (np.linalg.svdvals(b[:, 1:]), r_k)
 
 
 def a_u(u: HardyCoefficients, size: int | None = None) -> np.ndarray:

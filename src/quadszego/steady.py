@@ -79,13 +79,20 @@ def family_constants(theta: float) -> tuple[float, float, float]:
     return mean, c, p
 
 
+def _check_trunc(trunc: int) -> None:
+    if trunc < 1:
+        raise ValueError(f"trunc must be >= 1, got {trunc}")
+
+
 def build_steady(params: SteadyV3Params, trunc: int) -> HardyCoefficients:
     """Expand a family member into ``trunc`` Fourier modes.
 
     ``u_hat(0) = lam e^{ia} mean``, ``u_hat(k) = lam e^{ia} C P^{k-1} e^{ikb}``.
     ``|P| >= 1`` cannot occur on the stated theta range and raises
-    :class:`PoleOutsideDisc` as an internal-consistency failure.
+    :class:`PoleOutsideDisc` as an internal-consistency failure; ``trunc < 1``
+    raises ``ValueError``.
     """
+    _check_trunc(trunc)
     mean, c, p = family_constants(params.theta)
     if abs(p) >= 1:
         raise PoleOutsideDisc(f"pole modulus {p!r} at theta={params.theta!r}")
@@ -182,9 +189,10 @@ def steadiness_measure(
     ``J`` is the pairwise grid mean of ``|u|^2 u``, and ``rhs_norm`` is the
     norm of the ``trunc`` kept flow modes.
     Without ``np.float128`` it raises :class:`ExtendedPrecisionUnavailable`
-    up front.
+    up front, as it raises ``ValueError`` for ``trunc < 1``.
     """
     tr = suggested_trunc(params.theta) if trunc is None else trunc
+    _check_trunc(tr)
     if extended is None:
         extended = tr > 50_000
     if extended and not hasattr(np, "float128"):

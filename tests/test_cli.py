@@ -116,7 +116,7 @@ def test_simulate_artifacts_byte_reproducible(tmp_path):
         runs.append((csvfile.read_bytes(), jsonlfile.read_bytes()))
     assert runs[0] == runs[1]
     # the CSV's K^2 columns are the squared singular values of K at the JSONL
-    # states, certified by a sketch of width 12 < 48: within (2 sigma_1 + r) r
+    # states, certified by a pair of width 13 < 48 (12 columns of K): within (2 sigma_1 + r) r
     # for r = 16 M eps ||K||_F
     rows = list(csv.reader(io.StringIO(runs[0][0].decode())))
     spec_cols = [i for i, name in enumerate(rows[0]) if name.startswith("k2_eig_")]
@@ -174,6 +174,17 @@ def test_compose_check_default_datum(tmp_path):
 
 def test_steady_verify_exit_codes():
     assert main(["steady", "--theta", "0.5236", "--verify"]) == 0
+
+
+@pytest.mark.parametrize("trunc", ["0", "-3"])
+@pytest.mark.parametrize("mode", [["--verify"], ["--out", "steady.json"]])
+def test_steady_nonpositive_trunc_is_usage_error(trunc, mode, tmp_path, monkeypatch, capsys):
+    # --trunc 0 died with IndexError (exit 1); -3 exited 2 only through
+    # numpy's "negative dimensions" message
+    monkeypatch.chdir(tmp_path)
+    assert main(["steady", "--theta", "0.5", "--trunc", trunc, *mode]) == 2
+    assert f"trunc must be >= 1, got {trunc}" in capsys.readouterr().err
+    assert not (tmp_path / "steady.json").exists()
 
 
 def test_instability_no_escape_flagged(capsys):

@@ -119,17 +119,26 @@ def _v3_trajectory(n_spectrum: int = 8):
     return integrate(u0, cfg)
 
 
-def _count_svdvals(monkeypatch) -> list:
-    """Record the matrix of every ``np.linalg.svdvals`` call."""
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record the matrix of every ``np.linalg.<name>`` call."""
     calls = []
-    original = np.linalg.svdvals
+    original = getattr(np.linalg, name)
 
     def counting(a, *args, **kwargs):
         calls.append(np.array(a))
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svdvals", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return calls
+
+
+def _count_svdvals(monkeypatch) -> list:
+    return _count_calls(monkeypatch, "svdvals")
+
+
+def _count_pairs(monkeypatch) -> list:
+    """Record the columns of every ``np.linalg.qr``: one per sketched pair."""
+    return _count_calls(monkeypatch, "qr")
 
 
 def _check_k2_rows(traj) -> list:
@@ -177,24 +186,24 @@ def test_k2_spectra_dense_on_full_rank_state():
 
 
 def test_integrate_computes_no_spectrum(monkeypatch):
-    calls = _count_svdvals(monkeypatch)
+    pairs, calls = _count_pairs(monkeypatch), _count_svdvals(monkeypatch)
     traj = _v3_trajectory()
-    assert calls == []
+    assert pairs == [] and calls == []
     traj.k2_spectra
-    assert len(calls) == len(traj.times)
+    # one pair per snapshot, from H's first n_spectrum + 5 = 13 columns
+    assert [a.shape for a in pairs] == [(64, 13)] * len(traj.times)
+    assert not any(a.shape == (64, 64) for a in calls)
 
 
 def test_rank_check_reuses_k_singular_values(monkeypatch):
     traj = _v3_trajectory()
     traj.k2_spectra
-    calls = _count_svdvals(monkeypatch)
+    pairs, calls = _count_pairs(monkeypatch), _count_svdvals(monkeypatch)
     assert rank_conservation_check(traj, 3)
-    assert len(calls) == len(traj.times)
-    # no call was on K; K came from the cache
-    k_matrices = [shifted_hankel(state) for state in traj.states]
-    assert not any(a.shape == k.shape and np.array_equal(a, k) for a in calls for k in k_matrices)
+    # H and K both come from the pairs k2_spectra cached: no QR, no svdvals
+    assert pairs == [] and calls == []
     traj.k2_spectra
-    assert len(calls) == len(traj.times)
+    assert pairs == [] and calls == []
 
 
 def _criterion5_trajectory():
@@ -213,11 +222,12 @@ def test_failing_rank_check_stops_at_failing_snapshot(monkeypatch):
 
 def test_k2_spectra_compute_only_missing_k_values(monkeypatch):
     traj = _criterion5_trajectory()
-    calls = _count_svdvals(monkeypatch)
+    pairs, calls = _count_pairs(monkeypatch), _count_svdvals(monkeypatch)
     assert not rank_conservation_check(traj, 3)  # rank H = 2 passes, rank K = 2 fails
-    assert len(calls) == 2  # H and K of the first snapshot
+    assert len(pairs) == 1  # the pair of the first snapshot
     spectra = traj.k2_spectra
-    assert len(calls) == 2 + len(traj.times) - 1
+    assert len(pairs) == len(traj.times)
+    assert not any(a.shape == (256, 256) for a in calls)
     sv = np.linalg.svdvals(shifted_hankel(traj.states[0]))
     r = traj._k_sketch_at(0)[1]
     assert 0 < r <= 16 * 256 * np.finfo(float).eps * np.linalg.norm(sv)
@@ -276,11 +286,14 @@ def test_rank_check_decisions_match_dense_route(case):
 
 def test_rank_check_takes_no_dense_h_on_criterion5(monkeypatch):
     traj = _criterion5_trajectory()
-    traj.k2_spectra
-    calls = _count_svdvals(monkeypatch)
+    pairs, calls = _count_pairs(monkeypatch), _count_svdvals(monkeypatch)
     assert rank_conservation_check(traj, 4)
-    # one sketch of rank H + 4 = 6 rows per snapshot, no 256 x 256 H
-    assert [a.shape for a in calls] == [(6, 256)] * len(traj.times)
+    # one pair per snapshot, from H's first n_spectrum + 5 = 9 columns; its
+    # H and K halves are the only svdvals, and none is 256 x 256
+    assert [a.shape for a in pairs] == [(256, 9)] * len(traj.times)
+    assert [a.shape for a in calls] == [(9, 256), (9, 255)] * len(traj.times)
+    traj.k2_spectra
+    assert len(pairs) == len(traj.times) and len(calls) == 2 * len(traj.times)
 
 
 def test_rank_check_falls_back_to_dense_near_threshold(monkeypatch):

@@ -10,7 +10,7 @@ from quadszego.operators import (
     a_u,
     hankel,
     shifted_hankel,
-    sketched_singular_values,
+    sketched_hankel_pair,
     spectral_report,
     verify_au_minus_d,
     verify_lax,
@@ -67,6 +67,20 @@ def test_hankel_structure_random():
             assert h[j, l] == expected
             expected_k = u.coeffs[j + l + 1] if j + l + 1 < 12 else 0.0
             assert k[j, l] == expected_k
+
+
+@pytest.mark.parametrize("size", [2, 7, 12, 13, 30])
+@pytest.mark.parametrize("offset", [0, 1])
+def test_symbol_matrix_matches_index_gather(size, offset):
+    # the window-view build against the gather u_hat(j + k + offset), zero
+    # past trunc, for sizes below, at and above trunc = 12
+    u = random_state(np.random.default_rng(size), m=12)
+    full = np.zeros(2 * size + offset, dtype=complex)
+    full[: min(len(full), 12)] = u.coeffs[: len(full)]
+    j = np.arange(size)
+    expected = full[j[:, None] + j[None, :] + offset]
+    mat = (hankel, shifted_hankel)[offset](u, size)
+    assert np.array_equal(mat, expected) and mat.flags.c_contiguous
 
 
 def test_a_u_hermitian_by_construction():
@@ -157,21 +171,53 @@ def test_spectra_descending_and_nonnegative():
     ids=["random24", "pole0.9", "criterion5", "evolved_v4"],
 )
 def test_sketched_singular_values_bound_holds(make_state):
-    h = hankel(make_state())
-    sigma = np.linalg.svdvals(h)
-    for width in (1, 2, 3, 6, 10, len(sigma)):
-        s, r = sketched_singular_values(h, width)
-        assert s.shape == (width,)
-        top = np.zeros_like(sigma)
-        top[:width] = s
-        assert np.all(np.abs(sigma - top) <= r), width
+    # both halves of the pair bracket the dense values of their own matrix
+    u = make_state()
+    h = hankel(u)
+    sigmas = np.linalg.svdvals(h), np.linalg.svdvals(shifted_hankel(u))
+    for width in (1, 2, 3, 6, 10, len(h)):
+        for shift, ((s, r), sigma) in enumerate(zip(sketched_hankel_pair(h, width), sigmas)):
+            assert len(s) == min(width, len(h) - shift)  # K's half reads M - 1 columns
+            top = np.zeros_like(sigma)
+            top[: len(s)] = s
+            assert np.all(np.abs(sigma - top) <= r), width
 
 
 def test_sketched_singular_values_rejects_bad_width():
     h = hankel(geometric(1.0, 0.5, 8))
     for width in (0, 9):
         with pytest.raises(ValueError):
-            sketched_singular_values(h, width)
+            sketched_hankel_pair(h, width)
+    # a corner of a longer state is not H with K as its shifted columns
+    with pytest.raises(ValueError, match="truncated"):
+        sketched_hankel_pair(hankel(geometric(1.0, 0.5, 16), 8), 3)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
+def test_pair_certifies_k_far_below_h(eps):
+    # u_hat(0) = 1 carries H, K sees only the eps-sized tail: r_K must scale
+    # with ||K||_F, not with ||H||_F, to pass the 16 M eps ||K||_F keep rule
+    m = 256
+    coeffs = np.zeros(m, dtype=complex)
+    coeffs[0] = 1.0
+    coeffs[1:] = eps * 0.5 ** np.arange(m - 1)
+    u = HardyCoefficients(coeffs)
+    h, k = hankel(u), shifted_hankel(u)
+    for (s, r), mat in zip(sketched_hankel_pair(h, 6), (h, k)):
+        assert r <= 16 * m * np.finfo(float).eps * np.linalg.norm(mat)
+        sigma = np.linalg.svdvals(mat)
+        top = np.zeros_like(sigma)
+        top[: len(s)] = s
+        assert np.all(np.abs(sigma - top) <= r)
+
+
+@pytest.mark.parametrize("m", [2, 24, 256])
+def test_hankel_frobenius_norms_are_mass_and_momentum(m):
+    # ||H||_F^2 = sum (n+1) |u_hat(n)|^2 = Q + M and ||K||_F^2 = M
+    u = random_state(np.random.default_rng(m), m=m)
+    inv = conserved(u)
+    assert np.sqrt(inv.Q + inv.M) == pytest.approx(np.linalg.norm(hankel(u)), rel=1e-14)
+    assert np.sqrt(inv.M) == pytest.approx(np.linalg.norm(shifted_hankel(u)), rel=1e-14)
 
 
 # ---------------------------------------------------------------- ranks & dominance

@@ -23,6 +23,14 @@ def test_exported_names_resolve(module):
     assert missing == []
 
 
+def test_hankel_sketch_is_exported_as_a_pair():
+    # one factorisation sketches H and K; the single-matrix sketch is gone
+    from quadszego import operators
+
+    assert "sketched_hankel_pair" in operators.__all__
+    assert not hasattr(operators, "sketched_singular_values")
+
+
 def test_plain_pytest_finds_the_package():
     # from a checkout, with no PYTHONPATH and nothing installed, collection
     # failed with ModuleNotFoundError until pytest put src on the path

@@ -201,6 +201,15 @@ def test_is_steady_monomial_and_zero():
     assert is_steady(HardyCoefficients(np.zeros(4)))
 
 
+@pytest.mark.parametrize("trunc", [0, -3])
+def test_nonpositive_trunc_rejected_before_any_work(trunc, monkeypatch):
+    monkeypatch.delattr(np, "float128", raising=False)  # the 80-bit branch would raise first
+    params = SteadyV3Params(scale=1.0, a=0.0, b_angle=0.0, theta=0.5)
+    for call in (lambda: build_steady(params, trunc), lambda: steadiness_measure(params, trunc=trunc, extended=True)):
+        with pytest.raises(ValueError, match="trunc must be >= 1"):
+            call()
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         SteadyV3Params(scale=1.0, a=0.0, b_angle=0.0, theta=np.pi / 3)
