@@ -1,9 +1,9 @@
 """Integrate the flow and watch its exact structure.
 
 A traveling wave evolves by pure phases: u_hat(k)(t) = u_hat(k)(0)
-exp(-i (omega + c k) t).  The RK4 integrator reproduces that orbit to
-~1e-9 in L2 over five time units, while mass Q, momentum M and energy E
-drift at the 1e-11 level.
+exp(-i (omega + c k) t).  The adaptive DOP853 integrator, sampled every
+dt = 1e-3, reproduces that orbit to ~3e-12 in L2 over five time units,
+while mass Q, momentum M and energy E drift by less than 1e-12.
 """
 
 import numpy as np

@@ -366,7 +366,7 @@ def criterion_9_v3_consistency(quick: bool = False) -> CheckResult:
         key = round(float(t), 9)
         if key in by_time:
             gap = max(gap, float(np.linalg.norm(embed(by_time[key], 256).coeffs - st.coeffs)))
-    res_coarse = evolx_residual(v3_integrate(V3_DATUM, 1e-4, t_final, stride=1000))
+    res_coarse = evolx_residual(ode)
     res_fine = evolx_residual(v3_integrate(V3_DATUM, 5e-5, t_final, stride=1000))
     ratio = res_coarse / res_fine
     runtime = time.time() - t0

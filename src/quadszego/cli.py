@@ -75,7 +75,7 @@ def _cmd_simulate(args) -> int:
         raise ValueError("provide --state or a --family profile")
     cfg = _run_config(args, max(_SIMULATE.trunc, u0.trunc) if args.trunc is None else args.trunc)
     traj = integrate(u0, cfg)
-    print(f"steps={int(round(cfg.t_final / cfg.dt))} snapshots={len(traj.times)}")
+    print(f"solver steps={traj.steps} rhs_evals={traj.nfev} snapshots={len(traj.times)}")
     for name, val in traj.drift.items():
         print(f"max relative {name} drift: {val:.3e}")
     if args.out_csv:
@@ -258,7 +258,7 @@ def _add_wave_flags(p: argparse.ArgumentParser, family: str | None) -> None:
 
 
 def _add_run_flags(p: argparse.ArgumentParser, cfg: SimulationConfig) -> None:
-    p.add_argument("--dt", type=float, default=cfg.dt)
+    p.add_argument("--dt", type=float, default=cfg.dt, help="sample spacing; the solver chooses its own steps")
     p.add_argument("--t-final", type=float, default=cfg.t_final)
     p.add_argument("--stride", type=int, default=cfg.monitor_stride)
     p.add_argument("--tol-drift", type=float, default=cfg.tol_drift)

@@ -1,21 +1,17 @@
 """Time integration of the quadratic flow with conservation and spectrum monitors.
 
 The truncated equation is a smooth, non-stiff ODE on the first ``trunc``
-Fourier coefficients; classical fixed-step RK4 is used and the conservation
-monitors catch inadequate resolution.  Each RK4 stage evaluates the whole
-right-hand side with :func:`~quadszego.hardy.j_and_flow`: one inverse FFT
-samples the state, ``J(u)`` is the grid mean of ``|u|^2 u``, and one forward
-FFT returns the first ``trunc`` modes, so the state dimension stays fixed and
-nothing aliases onto a kept mode.
+Fourier coefficients.  :func:`sample_dop853`, the package's one integrator
+(the reduced flow of :mod:`~quadszego.v3` runs on it too), steps it by
+adaptive DOP853 and reads it on the ``dt`` sample grid; the conservation
+monitors catch inadequate resolution.  Each right-hand side is one
+:func:`~quadszego.hardy.j_and_flow`, an alias-free FFT pair that keeps the
+state dimension fixed.
 
 Invariants are recorded during integration, because their drift aborts it.
 The Hankel spectra are not: a :class:`TrajectoryRecord` computes them on
-first read and shares them between ``k2_spectra`` and
-:func:`rank_conservation_check`.  For a truncated state ``K`` is ``H``
-shifted one column left, so one QR of ``H``'s first columns sketches both
-(:func:`~quadszego.operators.sketched_hankel_pair`); each half is kept where
-it certifies its matrix to round-off, and that matrix takes the dense
-``svdvals`` elsewhere.
+first read, from one sketch of ``H`` per snapshot, and shares them between
+``k2_spectra`` and :func:`rank_conservation_check`.
 """
 
 from __future__ import annotations
@@ -26,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.integrate import DOP853
 
 from .errors import DriftExceeded, NonFiniteState
 from .hardy import ConservedTriple, HardyCoefficients, conserved, j_and_flow
@@ -36,6 +33,7 @@ __all__ = [
     "TrajectoryRecord",
     "rhs",
     "integrate",
+    "sample_dop853",
     "rank_conservation_check",
     "trajectory_to_csv",
     "trajectory_to_jsonl",
@@ -45,15 +43,22 @@ __all__ = [
 #: values it monitors; the sketch of H takes one more
 _SKETCH_OVERSAMPLE = 4
 
+# Local error control of both flows: tight enough that the reduced system's
+# dense output reproduces RK4 at dt = 1e-4 to about 1e-13 in x, and that the
+# truncated flow follows the exact traveling-wave orbits to about 1e-12.
+RTOL = 1e-13
+ATOL = 1e-15
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Fixed-step integration parameters; ``t_final`` is a whole number of
-    steps ``dt`` (to 1e-9 of a step), of ``dt``'s sign.
+    """Integration parameters; ``dt`` is the sample spacing (the solver
+    chooses its own steps) and ``t_final`` a whole number of samples ``dt``
+    (to 1e-9 of a sample), of ``dt``'s sign.
 
-    ``monitor_stride`` controls how often snapshots (state and invariants)
-    are recorded; drift of Q, M, E beyond ``tol_drift`` (relative to t=0)
-    aborts with :class:`DriftExceeded`.  ``n_spectrum`` is the width of the
+    Snapshots (state and invariants) are recorded every ``monitor_stride``
+    samples; drift of Q, M, E beyond ``tol_drift`` (relative to t=0) aborts
+    with :class:`DriftExceeded`.  ``n_spectrum`` is the width of the
     record's ``k2_spectra``, which are computed on first read, not here.
     """
 
@@ -102,6 +107,8 @@ class TrajectoryRecord:
     invariants: tuple[ConservedTriple, ...]
     drift: dict  # max relative deviation of Q, M, E from t=0
     n_spectrum: int = 8  # width of k2_spectra
+    steps: int = 0  # accepted solver steps
+    nfev: int = 0  # right-hand-side evaluations, dense output included
 
     def __post_init__(self):
         if not len(self.states) == len(self.invariants) == len(self.times):
@@ -156,58 +163,104 @@ def rhs(u: HardyCoefficients) -> HardyCoefficients:
     return HardyCoefficients(j_and_flow(u.coeffs)[1])
 
 
-def integrate(u0: HardyCoefficients, cfg: SimulationConfig) -> TrajectoryRecord:
-    """Fixed-step RK4 trajectory from ``u0`` with monitors.
+def sample_dop853(fun, y0: np.ndarray, h: float, n: int, record, keep=None, failure=NonFiniteState) -> tuple[int, int]:
+    """Step ``y' = fun(t, y)``, ``y(0) = y0``, by ``scipy.integrate.DOP853``
+    to ``t = n h``; returns the accepted steps and the right-hand-side
+    evaluations, dense output included.
 
-    Each of the four stages of a step costs one inverse and one forward FFT
-    of length ``next_fast_len(2 trunc - 1)`` (see
-    :func:`~quadszego.hardy.j_and_flow`).  Snapshots (state and invariants)
-    are taken every ``cfg.monitor_stride`` steps (plus the final step); their
-    K^2 spectra are left to the record, which computes them on first read.
-    Raises :class:`NonFiniteState` if a coefficient leaves the finite range
-    and :class:`DriftExceeded` if an invariant drifts beyond
-    ``cfg.tol_drift`` relative to its t=0 value.
+    After each step ``record(idx, ys)`` gets the samples ``i * h`` the step
+    has passed and ``keep(idx)`` (a boolean mask; all when ``None``) retains,
+    their states the columns of ``ys``; a true return ends the run there.  A
+    sample on the step's end takes the solver's state; any other is read
+    from the step's dense output, which costs three evaluations and is built
+    only then.  Raises :class:`NonFiniteState` for a non-finite start or
+    accepted state and ``failure`` when the step size underflows.
     """
-    dt = cfg.dt
-    n_steps = int(round(cfg.t_final / dt))
-    c = u0.padded(cfg.trunc) if u0.trunc <= cfg.trunc else u0.coeffs[: cfg.trunc].copy()
-    c = np.array(c, dtype=np.complex128)
+    if n == 0:
+        return 0, 0
+    if not np.all(np.isfinite(y0)):
+        raise NonFiniteState("non-finite initial state")
+    # a state blowing up overflows in the stages, and the step then shrinks
+    # until the solver gives up
+    with np.errstate(over="ignore", invalid="ignore"):
+        solver = DOP853(fun, 0.0, y0, n * h, rtol=RTOL, atol=ATOL)
+        try:
+            if not np.all(np.isfinite(solver.f)):  # the first step size would be NaN, never rejected
+                raise NonFiniteState("non-finite right-hand side of the initial state")
+            steps = done = 0
+            while done < n:
+                message = solver.step()
+                if solver.status == "failed":
+                    raise failure(f"the solver stopped at t={solver.t:.6g}: {message}")
+                steps += 1
+                if not np.all(np.isfinite(solver.y)):
+                    raise NonFiniteState(f"non-finite state at t={solver.t:.6g}")
+                # the last sample passed; an ulp either way only moves a sample
+                # to the neighbouring step's interpolant
+                last = n if solver.status == "finished" else int(solver.t / h)
+                idx = np.arange(done + 1, last + 1)
+                done = last
+                idx = idx if keep is None else idx[keep(idx)]
+                if idx.size == 0:
+                    continue
+                t = idx * h
+                if t[-1] != solver.t:
+                    ys = solver.dense_output()(t)
+                elif len(t) == 1:
+                    ys = solver.y[:, None]
+                else:
+                    ys = np.column_stack([solver.dense_output()(t[:-1]), solver.y])
+                if record(idx, ys):
+                    break
+        finally:
+            # scipy's right-hand-side wrappers close over the solver, and in
+            # that cycle its stage arrays (16 x len(y0)) waited for the cyclic
+            # collector: repeated runs at trunc 512 grew the peak RSS by MBs
+            del solver.fun, solver.fun_vectorized
+    return steps, solver.nfev
 
+
+def integrate(u0: HardyCoefficients, cfg: SimulationConfig) -> TrajectoryRecord:
+    """Adaptive trajectory from ``u0`` with monitors, sampled every ``cfg.dt``
+    by :func:`sample_dop853`; each right-hand side is one
+    :func:`~quadszego.hardy.j_and_flow`, an FFT pair of length
+    ``next_fast_len(2 trunc - 1)``.
+
+    Snapshots (state and invariants) are taken every ``cfg.monitor_stride``
+    samples and at the last; their K^2 spectra are left to the record, which
+    computes them on first read.  Raises :class:`NonFiniteState` if the
+    datum or a solver state is not finite, or the solver gives up, and
+    :class:`DriftExceeded` if an invariant drifts beyond ``cfg.tol_drift``
+    relative to its t=0 value.
+    """
+    n = int(round(cfg.t_final / cfg.dt))
     times = [0.0]
-    states = [HardyCoefficients(c)]
+    states = [u0.truncated(cfg.trunc)]
     invariants = [conserved(states[0])]
     ref = invariants[0]
     drift = {"Q": 0.0, "M": 0.0, "E": 0.0}
 
-    def _record(t: float, cvec: np.ndarray):
-        state = HardyCoefficients(cvec)
-        inv = conserved(state)
-        times.append(t)
-        states.append(state)
-        invariants.append(inv)
-        for name, now, initial in (("Q", inv.Q, ref.Q), ("M", inv.M, ref.M), ("E", inv.E, ref.E)):
-            scale = max(abs(initial), 1e-300)
-            rel = abs(now - initial) / scale
-            drift[name] = max(drift[name], rel)
-            if rel > cfg.tol_drift:
-                raise DriftExceeded(
-                    f"{name} drifted by {rel:.3e} (> {cfg.tol_drift:.1e}) at t={t:.6g}; "
-                    "dt may be too large or trunc too small"
-                )
+    def record(idx: np.ndarray, ys: np.ndarray) -> None:
+        for t, cvec in zip(idx * cfg.dt, ys.T):
+            state = HardyCoefficients(cvec)
+            inv = conserved(state)
+            times.append(float(t))
+            states.append(state)
+            invariants.append(inv)
+            for name, now, initial in (("Q", inv.Q, ref.Q), ("M", inv.M, ref.M), ("E", inv.E, ref.E)):
+                scale = max(abs(initial), 1e-300)
+                rel = abs(now - initial) / scale
+                drift[name] = max(drift[name], rel)
+                if rel > cfg.tol_drift:
+                    raise DriftExceeded(
+                        f"{name} drifted by {rel:.3e} (> {cfg.tol_drift:.1e}) at t={t:.6g}; "
+                        "trunc may be too small"
+                    )
 
-    # a blowing-up state overflows inside the stages; the finiteness check
-    # below turns that into NonFiniteState
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            _, k1 = j_and_flow(c)
-            _, k2 = j_and_flow(c + 0.5 * dt * k1)
-            _, k3 = j_and_flow(c + 0.5 * dt * k2)
-            _, k4 = j_and_flow(c + dt * k3)
-            c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(c)):
-                raise NonFiniteState(f"non-finite coefficient at step {step}")
-            if step % cfg.monitor_stride == 0 or step == n_steps:
-                _record(step * dt, c)
+    steps, nfev = sample_dop853(
+        lambda t, y: j_and_flow(y)[1], states[0].coeffs, cfg.dt, n, record,
+        keep=lambda i: (i % cfg.monitor_stride == 0) | (i == n),
+    )
 
     return TrajectoryRecord(
         times=np.array(times),
@@ -215,6 +268,8 @@ def integrate(u0: HardyCoefficients, cfg: SimulationConfig) -> TrajectoryRecord:
         invariants=tuple(invariants),
         drift=drift,
         n_spectrum=cfg.n_spectrum,
+        steps=steps,
+        nfev=nfev,
     )
 
 

@@ -136,10 +136,15 @@ def j_and_flow(c: np.ndarray) -> tuple[complex, np.ndarray]:
     """
     v = grid_values(c)
     j, abs2 = _j_step(v)
+    return j, _flow_pass(v, j, abs2, len(c))
+
+
+def _flow_pass(v: np.ndarray, j: complex, abs2: np.ndarray, m: int) -> np.ndarray:
+    """The flow's modes ``0..m-1`` from :func:`_j_step`'s samples; overwrites ``v``."""
     v *= v
     v *= -1j * np.conj(j)
     v += (-2j * j) * abs2
-    return j, scipy.fft.fft(v, norm="forward", overwrite_x=True)[: len(c)]
+    return scipy.fft.fft(v, norm="forward", overwrite_x=True)[:m]
 
 
 @dataclass(frozen=True)

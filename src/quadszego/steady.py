@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtendedPrecisionUnavailable, PoleOutsideDisc
-from .hardy import HardyCoefficients, j_and_flow, quadratic_products
+from .hardy import HardyCoefficients, _flow_pass, _j_step, _product_pass, grid_values, j_and_flow
 
 __all__ = [
     "SteadyV3Params",
@@ -210,15 +210,18 @@ def is_steady(u: HardyCoefficients, tol: float = STEADY_TOL) -> bool:
     """Whether ``u`` is an equilibrium: ``|J(u)| < tol``.
 
     Equilibria are exactly the zero-J states, so this is equivalent to a
-    vanishing flow derivative.  ``J`` and the flow come from one
-    :func:`~quadszego.hardy.j_and_flow` call; the flow norm must stay under
-    ``|J| (2 ||Pi|u|^2|| + ||u^2||)``, with the norms taken independently
-    from :func:`~quadszego.hardy.quadratic_products` and a 10x slack to
-    absorb round-off.
+    vanishing flow derivative.  One inverse FFT samples ``u`` for ``J``, the
+    flow and the products; the flow takes its own forward FFT (as in
+    :func:`~quadszego.hardy.j_and_flow`) and the products theirs (as in
+    :func:`~quadszego.hardy.quadratic_products`): the flow norm must stay
+    under ``|J| (2 ||Pi|u|^2|| + ||u^2||)``, with a 10x slack for round-off.
     """
-    j, flow = j_and_flow(u.coeffs)
-    u2, abs2 = quadratic_products(u.coeffs, 2 * u.trunc - 1)
-    norm_scale = 2.0 * np.linalg.norm(abs2) + np.linalg.norm(u2)
+    m = u.trunc
+    v = grid_values(u.coeffs)
+    j, abs2 = _j_step(v)
+    u2, abs2_modes = _product_pass(v.copy(), abs2, m, 2 * m - 1)
+    flow = _flow_pass(v, j, abs2, m)
+    norm_scale = 2.0 * np.linalg.norm(abs2_modes) + np.linalg.norm(u2)
     if np.linalg.norm(flow) > abs(j) * norm_scale * 10.0 + 1e-13:
         raise AssertionError("flow-derivative route disagrees with the J route")
     return bool(abs(j) < tol)

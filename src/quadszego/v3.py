@@ -28,10 +28,10 @@ phase ``gamma``; this leaves Q and M untouched, raises the energy by
 
 after which ``|y|`` escapes monotonically in at least one time direction.
 
-:func:`v3_integrate` runs the system with SciPy's adaptive DOP853 at
-``rtol = 1e-13``, ``atol = 1e-15`` and fills a fixed time grid from its dense
-output, one solver step at a time, so an early stop never integrates more
-than one step past the stop sample.
+:func:`v3_integrate` runs the system on the package's one integrator,
+adaptive DOP853 (:func:`~quadszego.dynamics.sample_dop853`), and fills a
+fixed time grid from its dense output, one solver step at a time, so an
+early stop never integrates more than one step past the stop sample.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
 
+from .dynamics import sample_dop853
 from .errors import DegenerateState, TrajectoryTooShort
 from .hardy import HardyCoefficients
 
@@ -149,12 +149,8 @@ class V3Trajectory:
     state_times: np.ndarray
     states: tuple[V3State, ...]
     drift: dict
-
-
-# Local error control of the reduced solver: tight enough that the dense
-# output reproduces RK4 at dt = 1e-4 to about 1e-13 in x.
-_RTOL = 1e-13
-_ATOL = 1e-15
+    steps: int = 0  # accepted solver steps
+    nfev: int = 0  # right-hand-side evaluations, dense output included
 
 
 def _solver_rhs(t, y):
@@ -172,11 +168,10 @@ def v3_integrate(
 ) -> V3Trajectory:
     """The reduced system by DOP853 with dense output, sampled every ``dt``.
 
-    ``scipy.integrate.DOP853`` takes adaptive steps under ``rtol = 1e-13``,
-    ``atol = 1e-15`` on the complex triple (b, c, p); after each step its
-    dense output fills the samples ``i * dt`` the step has passed.  ``dt`` is
-    the sample spacing, not a step size.  ``t_final`` may be negative (time
-    then runs backwards).
+    :func:`~quadszego.dynamics.sample_dop853` takes adaptive steps on the
+    complex triple (b, c, p) and fills every sample ``i * dt`` a step has
+    passed.  ``dt`` is the sample spacing, not a step size.  ``t_final`` may
+    be negative (time then runs backwards).
 
     The optional ``stop_when(t, x, psi)`` predicate ends the run early (used
     by escape-time experiments).  It receives the arrays of the samples one
@@ -184,8 +179,9 @@ def v3_integrate(
     shape; the run ends at the first sample where it holds, and the solver
     never gets further than one step past it.  Raises
     :class:`DegenerateState` near ``|p| = 1`` or ``c = 0``, checked at every
-    right-hand-side evaluation, and ``ValueError`` up front for ``dt == 0``,
-    ``stride < 1`` or a ``t_final`` that is not a whole number of ``dt``.
+    right-hand-side evaluation, or if the solver gives up, and
+    ``ValueError`` up front for ``dt == 0``, ``stride < 1`` or a ``t_final``
+    that is not a whole number of ``dt``.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -208,21 +204,11 @@ def v3_integrate(
 
     end = n_steps  # moves to the stop sample once stop_when holds
     done = 0  # last filled sample
-    if n_steps > 0:
-        y0 = np.array([s0.b, s0.c, s0.p], dtype=np.complex128)
-        solver = DOP853(_solver_rhs, 0.0, y0, n_steps * h, rtol=_RTOL, atol=_ATOL)
-    while done < end:
-        solver.step()
-        if solver.status == "failed":
-            raise DegenerateState(f"reduced solver stopped at t={solver.t:.6g}: {solver.message}")
-        # the last sample the step has passed; one ulp either way only moves
-        # a sample to the neighbouring step's interpolant
-        last = n_steps if solver.status == "finished" else int(solver.t / h)
-        if last == done:
-            continue
-        idx = np.arange(done + 1, last + 1)
+
+    def record(idx: np.ndarray, ys: np.ndarray) -> bool:
+        nonlocal end, done
         times[idx] = idx * h
-        b, c, p = solver.dense_output()(times[idx])
+        b, c, p = ys
         abs_c = np.abs(c)
         x = abs_c * np.sqrt(abs_c**2 / (1.0 - np.abs(p) ** 2) ** 2)
         bcp = b * np.conj(c) * p
@@ -243,6 +229,10 @@ def v3_integrate(
             state_times.append(float(times[idx[k]]))
             states.append(V3State(b=bk, c=ck, p=pk))
         done = int(idx[-1])
+        return done == end
+
+    y0 = np.array([s0.b, s0.c, s0.p], dtype=np.complex128)
+    solver_steps, nfev = sample_dop853(_solver_rhs, y0, h, n_steps, record, failure=DegenerateState)
 
     return V3Trajectory(
         dt=h,
@@ -252,6 +242,8 @@ def v3_integrate(
         state_times=np.array(state_times),
         states=tuple(states),
         drift=drift,
+        steps=solver_steps,
+        nfev=nfev,
     )
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from quadszego import acceptance, cli
 from quadszego.cli import build_parser, main
+from quadszego.dynamics import SimulationConfig, integrate
 from quadszego.hardy import HardyCoefficients
 from quadszego.operators import shifted_hankel
 
@@ -129,6 +130,22 @@ def test_simulate_artifacts_byte_reproducible(tmp_path):
         r = 16 * 48 * np.finfo(float).eps * np.linalg.norm(k)
         spectrum = np.array([float(row[i]) for i in spec_cols])
         assert np.max(np.abs(spectrum - sv[: len(spec_cols)] ** 2)) <= (2 * sv[0] + r) * r
+
+
+def test_simulate_prints_solver_counts_outside_artifacts(tmp_path, capsys):
+    # the solver's accepted steps and right-hand-side evaluations go to
+    # stdout; the artifacts keep their snapshot-only columns and keys
+    state = tmp_path / "state.json"
+    write_state(state, 0.5 ** np.arange(32))
+    csvfile, jsonlfile = tmp_path / "t.csv", tmp_path / "t.jsonl"
+    argv = ["simulate", "--state", str(state), "--t-final", "0.1", "--stride", "50",
+            "--out-csv", str(csvfile), "--out-jsonl", str(jsonlfile)]
+    assert main(argv) == 0
+    printed = dict(field.split("=") for field in capsys.readouterr().out.splitlines()[0].split()[1:])
+    traj = integrate(HardyCoefficients(0.5 ** np.arange(32)), SimulationConfig(dt=1e-3, t_final=0.1, trunc=256, monitor_stride=50))
+    assert printed == {"steps": str(traj.steps), "rhs_evals": str(traj.nfev), "snapshots": "3"}
+    assert csvfile.read_text().splitlines()[0].split(",")[:5] == ["t", "Q", "M", "E", "absJ"]
+    assert all(set(json.loads(line)) == {"t", "state"} for line in jsonlfile.read_text().splitlines())
 
 
 def test_certify_artifact_matrix_has_no_timing(tmp_path, monkeypatch):

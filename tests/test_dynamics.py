@@ -1,11 +1,15 @@
 """Flow integration: right-hand side, invariants, spectra, exports."""
 
 import csv
+import gc
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
+from quadszego import dynamics
 from quadszego.dynamics import (
     SimulationConfig,
     integrate,
@@ -385,44 +389,135 @@ def test_rank_conservation_zero_state():
     assert rank_conservation_check(traj, 0)
 
 
+def _rk4_reference(u0: HardyCoefficients, dt: float, t_final: float, trunc: int) -> np.ndarray:
+    """Fixed-step classical RK4 on the truncated flow: the terminal state, a
+    reference of known fourth order for the adaptive route."""
+    c = u0.padded(trunc).astype(np.complex128)
+    for _ in range(int(round(t_final / dt))):
+        k1 = rhs(HardyCoefficients(c)).coeffs
+        k2 = rhs(HardyCoefficients(c + 0.5 * dt * k1)).coeffs
+        k3 = rhs(HardyCoefficients(c + 0.5 * dt * k2)).coeffs
+        k4 = rhs(HardyCoefficients(c + dt * k3)).coeffs
+        c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return c
+
+
+def _terminal(u0: HardyCoefficients, t_final: float, trunc: int = 64) -> np.ndarray:
+    cfg = SimulationConfig(dt=t_final, t_final=t_final, trunc=trunc, monitor_stride=10**9, tol_drift=1e-4)
+    return integrate(u0, cfg).states[-1].coeffs
+
+
 def test_rk4_order():
+    # the adaptive terminal state is far more accurate than RK4 at these
+    # steps: against it RK4's error falls ~16x per halving of dt, and RK4 at
+    # dt = 6.25e-4 lands within its own predicted error of it
     u0 = embed(V3State(b=0.3 + 0.1j, c=1.0, p=0.4), 64)
-
-    def terminal(dt):
-        cfg = SimulationConfig(dt=dt, t_final=0.5, trunc=64, monitor_stride=10**9, tol_drift=1e-3)
-        return integrate(u0, cfg).states[-1].coeffs
-
-    ref = terminal(6.25e-4)
-    err_coarse = np.linalg.norm(terminal(1e-2) - ref)
-    err_fine = np.linalg.norm(terminal(5e-3) - ref)
-    ratio = err_coarse / err_fine
-    assert 10 < ratio < 25  # fourth order: halving dt cuts the error ~16x
+    ref = _terminal(u0, 0.5)
+    err_coarse, err_fine, err_finest = (
+        np.linalg.norm(_rk4_reference(u0, dt, 0.5, 64) - ref) for dt in (1e-2, 5e-3, 6.25e-4)
+    )
+    assert 10 < err_coarse / err_fine < 25
+    assert err_finest < 2 * err_fine / 8**4
 
 
 def test_time_reversibility():
+    # the round trip stays within a few times the one-way error, measured
+    # against a Richardson-extrapolated RK4 reference (fifth order)
     u0 = embed(V3State(b=0.3 + 0.1j, c=1.0, p=0.4), 64)
-    fwd_cfg = SimulationConfig(dt=1e-3, t_final=1.0, trunc=64, monitor_stride=10**9, tol_drift=1e-4)
-    fwd = integrate(u0, fwd_cfg)
-    back_cfg = SimulationConfig(dt=-1e-3, t_final=-1.0, trunc=64, monitor_stride=10**9, tol_drift=1e-4)
-    back = integrate(fwd.states[-1], back_cfg)
-    ref = SimulationConfig(dt=5e-4, t_final=1.0, trunc=64, monitor_stride=10**9, tol_drift=1e-4)
-    one_way = np.linalg.norm(integrate(u0, ref).states[-1].coeffs - fwd.states[-1].coeffs)
-    round_trip = np.linalg.norm(back.states[-1].padded(64) - u0.padded(64))
-    assert round_trip < 10 * max(one_way, 1e-14)
+    fwd = _terminal(u0, 1.0)
+    back = _terminal(HardyCoefficients(fwd), -1.0)
+    coarse, fine = (_rk4_reference(u0, dt, 1.0, 64) for dt in (1e-3, 5e-4))
+    one_way = np.linalg.norm(fwd - (fine + (fine - coarse) / 15.0))
+    round_trip = np.linalg.norm(back - u0.coeffs)
+    assert one_way < 1e-11
+    assert round_trip < 3 * one_way
 
 
 def test_drift_exceeded_raised():
     u0 = HardyCoefficients(0.5 ** np.arange(32))
-    cfg = SimulationConfig(dt=0.05, t_final=5.0, trunc=32, monitor_stride=1, tol_drift=1e-14)
+    cfg = SimulationConfig(dt=0.05, t_final=5.0, trunc=32, monitor_stride=1, tol_drift=1e-6)
+    worst = max(integrate(u0, cfg).drift.values())
+    assert 0 < worst < 1e-11  # the adaptive route's measured drift
+    integrate(u0, replace(cfg, tol_drift=2 * worst))
     with pytest.raises(DriftExceeded):
-        integrate(u0, cfg)
+        integrate(u0, replace(cfg, tol_drift=worst / 2))
 
 
-def test_nonfinite_raised_on_blowup():
-    u0 = HardyCoefficients([30.0, 0.0])
-    cfg = SimulationConfig(dt=10.0, t_final=100.0, trunc=2, monitor_stride=1, tol_drift=1e6)
-    with pytest.raises(NonFiniteState):
-        integrate(u0, cfg)
+def test_nonfinite_raised_on_blowup(monkeypatch):
+    cfg = SimulationConfig(dt=0.1, t_final=1.0, trunc=2, monitor_stride=1, tol_drift=1e6)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteState):
+            integrate(HardyCoefficients([1.0, bad]), cfg)
+    # a right-hand side that turns non-finite mid-run: the solver shrinks its
+    # step until it gives up, which raises NonFiniteState too
+    finite = dynamics.j_and_flow
+
+    def blowing_up(c):
+        j, flow = finite(c)
+        return j, flow * (np.nan if abs(np.angle(c[0])) > 1.5 else 1.0)
+
+    monkeypatch.setattr(dynamics, "j_and_flow", blowing_up)
+    with pytest.raises(NonFiniteState, match="t=0.5"):
+        integrate(HardyCoefficients([1.0, 0.0]), cfg)
+    # non-finite from the start: the solver's first step size would be NaN,
+    # which its step loop never rejects, so this would not return
+    monkeypatch.setattr(dynamics, "j_and_flow", lambda c: (0j, np.full(len(c), np.nan + 0j)))
+    with pytest.raises(NonFiniteState, match="initial state"):
+        integrate(HardyCoefficients([1.0, 0.0]), cfg)
+
+
+# ---------------------------------------------------------------- solver samples
+
+
+def _count_dense_outputs(monkeypatch) -> list:
+    """Record the end time of the solver step behind every ``dense_output``."""
+    calls = []
+    original = DOP853.dense_output
+
+    def counting(self):
+        calls.append(self.t)
+        return original(self)
+
+    monkeypatch.setattr(DOP853, "dense_output", counting)
+    return calls
+
+
+def test_snapshots_at_ends_build_no_dense_output(monkeypatch):
+    # the flow workload's shape: snapshots at t = 0 and at the end only
+    calls = _count_dense_outputs(monkeypatch)
+    u0 = embed(V3State(b=0.3 + 0.1j, c=1.0, p=0.4), 64)
+    traj = integrate(u0, SimulationConfig(dt=1e-3, t_final=0.5, trunc=64, monitor_stride=10**9))
+    assert calls == []
+    assert traj.times.tolist() == [0.0, 0.5]
+    # 2 evaluations to start and 12 per step tried, none for dense output
+    assert traj.steps > 0 and traj.nfev >= 12 * traj.steps + 2 and (traj.nfev - 2) % 12 == 0
+
+
+def test_solver_freed_without_the_cycle_collector():
+    # scipy's solver sits in a reference cycle; left to the cyclic collector,
+    # its stage arrays piled up over repeated runs
+    u0 = embed(V3State(b=0.3 + 0.1j, c=1.0, p=0.4), 64)
+    gc.collect()
+    gc.disable()
+    try:
+        integrate(u0, SimulationConfig(dt=1e-3, t_final=0.05, trunc=64, monitor_stride=10))
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, DOP853)]
+    finally:
+        gc.enable()
+
+
+def test_monitor_run_builds_at_most_one_dense_output_per_step(monkeypatch):
+    calls = _count_dense_outputs(monkeypatch)
+    u0 = HardyCoefficients(2.0 * 0.4 ** np.arange(256) - 0.2 ** np.arange(256))
+    cfg = SimulationConfig(dt=1e-3, t_final=0.2, trunc=256, monitor_stride=10)
+    traj = integrate(u0, cfg)
+    assert len(traj.times) == 21 and 0 < len(calls) <= traj.steps
+    assert len(set(calls)) == len(calls)  # one per step at most
+    assert (traj.nfev - 2 - 3 * len(calls)) % 12 == 0  # 3 per dense output
+    # snapshot times are the samples i * dt, bit for bit
+    assert np.array_equal(traj.times, np.arange(201)[::10] * cfg.dt)
+    back = integrate(u0, replace(cfg, dt=-1e-3, t_final=-0.2))
+    assert np.array_equal(back.times, np.arange(201)[::10] * -1e-3)
 
 
 def test_config_validation():

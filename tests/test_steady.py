@@ -3,6 +3,7 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.fft
 
 from quadszego.dynamics import rhs
 from quadszego.errors import ExtendedPrecisionUnavailable, QuadSzegoError
@@ -199,6 +200,22 @@ def test_is_steady_monomial_and_zero():
     z[1] = 0.7
     assert is_steady(HardyCoefficients(z))
     assert is_steady(HardyCoefficients(np.zeros(4)))
+
+
+def test_is_steady_samples_the_state_once(monkeypatch):
+    # J, the flow and the products come from one inverse FFT; the flow and
+    # the products keep their own forward transforms, so the consistency
+    # check still compares two routes
+    counts = {"ifft": 0, "fft": 0, "rfft": 0}
+    for name in counts:
+
+        def counting(*args, _name=name, _original=getattr(scipy.fft, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counting)
+    assert is_steady(explicit_example(512), tol=1e-13)
+    assert counts == {"ifft": 1, "fft": 2, "rfft": 1}
 
 
 @pytest.mark.parametrize("trunc", [0, -3])

@@ -249,6 +249,19 @@ def test_solver_stops_within_one_step_of_the_stop_sample(monkeypatch):
     assert 0.5 <= max(seen) < 1.0  # the horizon is 10
 
 
+def test_solver_failure_raises_degenerate_state(monkeypatch):
+    # a right-hand side that turns non-finite mid-run makes the solver give
+    # up; that read a message attribute the solver does not have
+    rhs = v3_module._solver_rhs
+
+    def failing(t, y):
+        return rhs(t, y) * (np.nan if t > 0.25 else 1.0)
+
+    monkeypatch.setattr(v3_module, "_solver_rhs", failing)
+    with pytest.raises(DegenerateState, match="the solver stopped"):
+        v3_integrate(V3State(b=0.3 + 0.1j, c=1.0, p=0.4), 1e-3, 1.0)
+
+
 def test_v3_integrate_raises_near_degenerate():
     with pytest.raises(DegenerateState):
         v3_integrate(V3State(b=0.0, c=1.0, p=1.0 - 1e-12), 1e-4, 0.1)
