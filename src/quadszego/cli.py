@@ -148,8 +148,7 @@ def _cmd_steady(args) -> int:
     status = 0
     if args.verify or not args.out:
         meas = steadiness_measure(params, trunc=trunc)
-        print(f"theta={params.theta:.6f} trunc={meas.trunc} |J|={meas.abs_j:.3e} rhs_norm={meas.rhs_norm:.3e}"
-              + ("  [extended precision]" if meas.extended else ""))
+        print(f"theta={params.theta:.6f} trunc={meas.trunc} |J|={meas.abs_j:.3e} rhs_norm={meas.rhs_norm:.3e}")
         status = 0 if (meas.abs_j < STEADY_TOL and meas.rhs_norm < STEADY_TOL) else 1
     if args.out:
         state = build_steady(params, min(trunc, 65536))

@@ -96,10 +96,10 @@ def quadratic_products(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Modes ``0..n-1`` of ``u^2`` and of ``Pi(|u|^2)``, for ``1 <= n <= 2M-1``.
 
     ``c`` holds the ``M`` coefficients of ``u``; the results keep its dtype
-    (complex128 or complex256).  One inverse FFT samples ``u`` on the grid of
-    :func:`grid_values`, so no kept mode aliases; one forward FFT of ``u^2``
-    and one real FFT of ``|u|^2`` follow.  Modes of ``Pi(|u|^2)`` at or above
-    ``M`` are 0.
+    (complex128, or wider in an all-80-bit test reference).  One inverse FFT
+    samples ``u`` on the grid of :func:`grid_values`, so no kept mode aliases;
+    one forward FFT of ``u^2`` and one real FFT of ``|u|^2`` follow.  Modes
+    of ``Pi(|u|^2)`` at or above ``M`` are 0.
     """
     m = len(c)
     _check_product_length(m, n)
@@ -278,4 +278,5 @@ def conserved(u: HardyCoefficients) -> ConservedTriple:
     q = float(np.sum(absq))
     mom = float(np.sum(np.arange(u.trunc) * absq))
     j = complex(_j_step(grid_values(u.coeffs))[0])
-    return ConservedTriple(Q=q, M=mom, E=0.5 * abs(j) ** 2, J=j)
+    # a product, not Python float **: a huge state gives E = inf, not OverflowError
+    return ConservedTriple(Q=q, M=mom, E=0.5 * abs(j) * abs(j), J=j)

@@ -16,17 +16,16 @@ simplification (transcription fidelity over elegance).  One can check that
 ``P^2 - 1 = (4 sin^2 theta - 3)^3 / (3 (9 + 12 sin^2 theta - 16 sin^4 theta))``,
 so ``|P| < 1`` on the whole parameter range and ``P -> 1`` only at the excluded
 endpoint ``theta = pi/3``; near it the coefficients decay very slowly and the
-truncation must grow like ``1/(1-P)``, see :func:`suggested_trunc`.
-
-The degenerate case ``u = e^{ia} z`` is the family at ``theta = 0``, not a
-separate branch.
+truncation must grow like ``1/(1-P)``, see :func:`suggested_trunc`.  The
+degenerate case ``u = e^{ia} z`` is the family at ``theta = 0``, where ``P = 0``.
 
 Near the endpoint the zero-J condition is ill-conditioned in the constants,
-so :func:`steadiness_measure` takes the constants and the coefficients from
-80-bit arithmetic there.  ``J`` and the flow stay double precision and come
-from :func:`~quadszego.hardy.j_and_flow`, the one place ``J`` is computed: a
-coefficient rounded to double after the fact carries an unstructured error
-of size ``eps ||u||``, which moves ``J`` by round-off only.
+so they are written out once at 40 digits and :func:`build_steady`, the one
+coefficient builder, takes each power of ``P`` to a few ulps at any
+truncation.  ``J`` and the flow stay double precision and come from
+:func:`~quadszego.hardy.j_and_flow`, the one place ``J`` is computed: a
+coefficient rounded to double carries an unstructured error of size
+``eps ||u||``, which moves ``J`` by round-off only.
 """
 
 from __future__ import annotations
@@ -34,10 +33,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
-from .errors import ExtendedPrecisionUnavailable, PoleOutsideDisc
+from .errors import PoleOutsideDisc
 from .hardy import HardyCoefficients, _flow_pass, _j_step, _product_pass, grid_values, j_and_flow
 
 __all__ = [
@@ -70,37 +70,77 @@ class SteadyV3Params:
             raise ValueError("theta must lie in [0, pi/3)")
 
 
+# 40 digits: ample for correctly rounded doubles and for ln P as two doubles
+_DIGITS = Context(prec=40)
+
+
+def _family_decimals(theta: float) -> tuple[Decimal, Decimal, Decimal]:
+    """(mean coefficient, C, P) at ``theta`` to 40 digits, sin by its Taylor series."""
+    with localcontext(_DIGITS):
+        t = Decimal(theta)  # exact: theta is a binary double
+        sin, term, n = t, t, 1
+        while sin + (term := -term * t * t / ((n + 1) * (n + 2))) != sin:
+            sin, n = sin + term, n + 2
+        cos2 = 1 - 2 * sin * sin
+        cos4 = 2 * cos2 * cos2 - 1
+        sqrt3, root = Decimal(3).sqrt(), (9 + 2 * cos2 - 2 * cos4).sqrt()
+        mean = -(2 * sqrt3 / 3) * sin
+        c = (1 + 2 * cos2) ** 2 / (3 * root)
+        p = 4 * (2 + cos2) * sin / (sqrt3 * root)
+        return mean, c, p
+
+
 def family_constants(theta: float) -> tuple[float, float, float]:
-    """(mean coefficient, C, P) of the family at ``theta``."""
-    root = math.sqrt(9.0 + 2.0 * math.cos(2 * theta) - 2.0 * math.cos(4 * theta))
-    mean = -(2.0 * math.sqrt(3.0) / 3.0) * math.sin(theta)
-    c = (1.0 + 2.0 * math.cos(2 * theta)) ** 2 / (3.0 * root)
-    p = 4.0 * (2.0 + math.cos(2 * theta)) * math.sin(theta) / (math.sqrt(3.0) * root)
-    return mean, c, p
+    """(mean coefficient, C, P) of the family at ``theta``, each correctly rounded."""
+    return tuple(float(x) for x in _family_decimals(theta))
 
 
-def _check_trunc(trunc: int) -> None:
-    if trunc < 1:
-        raise ValueError(f"trunc must be >= 1, got {trunc}")
+def _split(x: float) -> tuple[float, float]:
+    """``x = hi + lo`` exactly with 26 significant bits in ``hi`` (T. J. Dekker,
+    Numer. Math. 18, 1971), so ``k hi`` is exact for integers ``k < 2^27``."""
+    big = 134217729.0 * x  # 2^27 + 1
+    hi = big - (big - x)
+    return hi, x - hi
 
 
 def build_steady(params: SteadyV3Params, trunc: int) -> HardyCoefficients:
-    """Expand a family member into ``trunc`` Fourier modes.
+    """Expand a family member into ``trunc`` Fourier modes, each within a few ulps.
 
-    ``u_hat(0) = lam e^{ia} mean``, ``u_hat(k) = lam e^{ia} C P^{k-1} e^{ikb}``.
-    ``|P| >= 1`` cannot occur on the stated theta range and raises
-    :class:`PoleOutsideDisc` as an internal-consistency failure; ``trunc < 1``
-    raises ``ValueError``.
+    ``u_hat(0) = lam e^{ia} mean``, ``u_hat(k) = lam e^{ia} C e^{ib} q^{k-1}``
+    with ``q = P e^{ib}`` and ``q^m = exp(m (ln P + i b))``, where the parts of
+    the exponent that grow with ``m`` are exact.  Two tables, ``q^j`` for
+    ``j < s = floor(sqrt(trunc - 1))`` and ``q^(i s)``, are multiplied straight
+    into the output.  ``|P| >= 1`` cannot occur on the stated theta range and
+    raises :class:`PoleOutsideDisc`; ``trunc < 1`` raises ``ValueError``.
     """
-    _check_trunc(trunc)
-    mean, c, p = family_constants(params.theta)
-    if abs(p) >= 1:
-        raise PoleOutsideDisc(f"pole modulus {p!r} at theta={params.theta!r}")
+    if trunc < 1:
+        raise ValueError(f"trunc must be >= 1, got {trunc}")
+    mean, c, p = _family_decimals(params.theta)
+    if p >= 1:
+        raise PoleOutsideDisc(f"pole modulus {float(p)!r} at theta={params.theta!r}")
     front = params.scale * cmath.exp(1j * params.a)
     out = np.zeros(trunc, dtype=np.complex128)
-    out[0] = front * mean
-    k = np.arange(1, trunc)
-    out[1:] = front * c * (p * np.exp(1j * params.b_angle)) ** (k - 1) * np.exp(1j * params.b_angle)
+    out[0] = front * float(mean)
+    head = front * float(c) * cmath.exp(1j * params.b_angle)
+    n = trunc - 1  # out[1:] holds head * q^0 .. head * q^(n-1)
+    if p == 0 or n == 0:
+        out[1:2] = head
+        return HardyCoefficients(out)
+    with localcontext(_DIGITS):
+        log_p = p.ln()
+        log_hi = _split(float(log_p))[0]
+        log_lo = float(log_p - Decimal(log_hi))
+    b_hi, b_lo = _split(params.b_angle)
+
+    def powers(m):  # m log_hi and m b_hi are exact; the rest is small
+        return np.exp(m * log_hi + 1j * (m * b_hi)) * np.exp(m * log_lo + 1j * (m * b_lo))
+
+    s = math.isqrt(n)
+    rows, tail = divmod(n, s)
+    inner = powers(np.arange(s, dtype=float))
+    outer = head * powers(s * np.arange(rows + 1, dtype=float))
+    np.multiply(outer[:rows, None], inner, out=out[1 : 1 + rows * s].reshape(rows, s))
+    out[1 + rows * s :] = outer[rows] * inner[:tail]
     return HardyCoefficients(out)
 
 
@@ -137,36 +177,7 @@ class SteadinessMeasure:
     abs_j: float
     rhs_norm: float
     trunc: int
-    extended: bool
-
-
-def _family_constants_ld(theta: float):
-    t = np.float128(theta)
-    root = np.sqrt(np.float128(9) + 2 * np.cos(2 * t) - 2 * np.cos(4 * t))
-    mean = -(2 * np.sqrt(np.float128(3)) / 3) * np.sin(t)
-    c = (1 + 2 * np.cos(2 * t)) ** 2 / (3 * root)
-    p = 4 * (2 + np.cos(2 * t)) * np.sin(t) / (np.sqrt(np.float128(3)) * root)
-    return mean, c, p
-
-
-def _family_coefficients_ld(params: SteadyV3Params, trunc: int) -> np.ndarray:
-    """The ``trunc`` family coefficients in complex256, from 80-bit constants.
-
-    ``u_hat(k) = front C e^{ib} q^(k-1)`` with ``q = P e^{ib}``: the powers
-    come from one running product of ``q`` (relative error about
-    ``sqrt(k)`` ulps of 80-bit) instead of a transcendental power per element.
-    """
-    mean, c, p = _family_constants_ld(params.theta)
-    if abs(float(p)) >= 1:
-        raise PoleOutsideDisc(f"pole modulus {float(p)!r} at theta={params.theta!r}")
-    front = np.complex256(params.scale) * np.exp(np.complex256(1j * params.a))
-    rot = np.exp(np.complex256(1j * params.b_angle))
-    coeffs = np.empty(trunc, dtype=np.complex256)
-    coeffs[0] = front * mean
-    coeffs[1:] = p * rot
-    coeffs[1:2] = front * c * rot
-    np.cumprod(coeffs[1:], out=coeffs[1:])
-    return coeffs
+    extended: bool = True  # always True; artifacts and the benchmark's counters read it
 
 
 def steadiness_measure(
@@ -176,34 +187,16 @@ def steadiness_measure(
 ) -> SteadinessMeasure:
     """Evaluate ``|J|`` and the flow-derivative norm of a family member.
 
-    Near the ``theta -> pi/3`` endpoint the equilibrium condition is badly
-    conditioned in the family constants: rounding ``P`` to double moves the
-    state off the zero-J set by ``~|dJ/dP| * eps``, above ``STEADY_TOL`` for
-    the last few percent of the parameter range.  ``extended=True`` (the
-    default once the needed truncation passes 50k modes) therefore evaluates
-    the constants and the coefficients in 80-bit precision and rounds each
-    coefficient once to double.  That rounding is an unstructured error of
-    size ``eps ||u||``, not a move along the family, so ``J`` and the flow
-    are double-precision products, as on the double path.  Both come from
-    :func:`~quadszego.hardy.j_and_flow`, one FFT pair on the sample grid:
-    ``J`` is the pairwise grid mean of ``|u|^2 u``, and ``rhs_norm`` is the
-    norm of the ``trunc`` kept flow modes.
-    Without ``np.float128`` it raises :class:`ExtendedPrecisionUnavailable`
-    up front, as it raises ``ValueError`` for ``trunc < 1``.
+    The coefficients come from :func:`build_steady`: near ``theta -> pi/3``
+    a ``P`` rounded to double would move ``P^k`` by ``k`` ulps and the state
+    off the zero-J set by more than ``STEADY_TOL``.  ``J`` and the flow come
+    from :func:`~quadszego.hardy.j_and_flow`, one FFT pair on the sample
+    grid: ``J`` is the pairwise grid mean of ``|u|^2 u``, and ``rhs_norm`` is
+    the norm of the ``trunc`` kept flow modes.  ``extended`` is ignored.
     """
     tr = suggested_trunc(params.theta) if trunc is None else trunc
-    _check_trunc(tr)
-    if extended is None:
-        extended = tr > 50_000
-    if extended and not hasattr(np, "float128"):
-        raise ExtendedPrecisionUnavailable(f"theta={params.theta!r} at trunc={tr} needs np.float128, absent here")
-    if extended:
-        coeffs = _family_coefficients_ld(params, tr).astype(np.complex128)
-    else:
-        coeffs = build_steady(params, tr).coeffs
-    j, flow = j_and_flow(coeffs)
-    rhs_norm = float(np.linalg.norm(flow))
-    return SteadinessMeasure(abs_j=float(abs(j)), rhs_norm=rhs_norm, trunc=tr, extended=extended)
+    j, flow = j_and_flow(build_steady(params, tr).coeffs)
+    return SteadinessMeasure(abs_j=float(abs(j)), rhs_norm=float(np.linalg.norm(flow)), trunc=tr)
 
 
 def is_steady(u: HardyCoefficients, tol: float = STEADY_TOL) -> bool:

@@ -107,7 +107,8 @@ def derived(s: V3State) -> V3Derived:
     x = abs(s.c) * math.sqrt(mom)
     bcp = s.b * s.c.conjugate() * s.p
     psi = cmath.phase(bcp) if bcp != 0 else 0.0
-    return V3Derived(Q=q, M=mom, J=j, x=x, psi=psi, Ecal=abs(j) ** 2)
+    # a product, not Python float **: a huge state gives Ecal = inf, not OverflowError
+    return V3Derived(Q=q, M=mom, J=j, x=x, psi=psi, Ecal=abs(j) * abs(j))
 
 
 def energy_closed_form(q: float, mom: float, x: float, psi: float) -> float:
@@ -225,7 +226,7 @@ def v3_integrate(
             q, mom, j = _qmj(bk, ck, pk)
             drift["Q"] = max(drift["Q"], abs(q - d0.Q) / max(abs(d0.Q), 1e-300))
             drift["M"] = max(drift["M"], abs(mom - d0.M) / max(abs(d0.M), 1e-300))
-            drift["Ecal"] = max(drift["Ecal"], abs(abs(j) ** 2 - d0.Ecal) / max(abs(d0.Ecal), 1e-300))
+            drift["Ecal"] = max(drift["Ecal"], abs(abs(j) * abs(j) - d0.Ecal) / max(abs(d0.Ecal), 1e-300))
             state_times.append(float(times[idx[k]]))
             states.append(V3State(b=bk, c=ck, p=pk))
         done = int(idx[-1])

@@ -148,6 +148,14 @@ def test_simulate_prints_solver_counts_outside_artifacts(tmp_path, capsys):
     assert all(set(json.loads(line)) == {"t", "state"} for line in jsonlfile.read_text().splitlines())
 
 
+def test_simulate_huge_state_is_a_check_failure(tmp_path, capsys):
+    # the initial energy overflowed with a bare OverflowError and a traceback
+    state = tmp_path / "big.json"
+    write_state(state, [1e70] + [0.0] * 7)
+    assert main(["simulate", "--state", str(state), "--t-final", "0.01"]) == 1
+    assert "check failed [" in capsys.readouterr().err
+
+
 def test_certify_artifact_matrix_has_no_timing(tmp_path, monkeypatch):
     # runtime and gate go to the printed lines, never into the artifact
     results = [

@@ -309,6 +309,13 @@ def test_e_is_half_j_squared():
     assert c.E == 0.5 * abs(c.J) ** 2
 
 
+def test_conserved_of_a_huge_state_has_infinite_energy():
+    # Python float ** raised OverflowError here for a state of norm >= 1e51
+    c = conserved(HardyCoefficients([1e70]))
+    assert c.E == np.inf
+    assert c.J == pytest.approx(1e210)
+
+
 # ---------------------------------------------------------------- value semantics
 
 

@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from quadszego.cli import main
 from quadszego.dynamics import rhs
-from quadszego.errors import ExtendedPrecisionUnavailable, QuadSzegoError
 from quadszego.hardy import HardyCoefficients, conserved, j_and_flow, quadratic_products
 from quadszego.steady import (
     SteadyV3Params,
-    _family_coefficients_ld,
-    _family_constants_ld,
     build_steady,
     family_constants,
     is_steady,
     explicit_example,
     steadiness_measure,
+    STEADY_TOL,
     suggested_trunc,
 )
 
@@ -26,6 +25,16 @@ def test_theta_zero_is_monomial():
     expected = np.zeros(8, dtype=complex)
     expected[1] = 1.0
     assert np.allclose(u.coeffs, expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("trunc", [1, 2, 3, 8, 12, 15, 26])
+def test_power_table_fills_every_mode(trunc):
+    # s = floor(sqrt(trunc - 1)) rows of s modes, plus a partial row or none
+    params = SteadyV3Params(scale=1.3, a=0.4, b_angle=2.1, theta=0.7)
+    mean, c, p = family_constants(0.7)
+    k = np.arange(1, trunc)
+    expected = 1.3 * np.exp(0.4j) * np.concatenate([[mean], c * p ** (k - 1) * np.exp(2.1j * k)])
+    assert np.allclose(build_steady(params, trunc).coeffs, expected, rtol=1e-14, atol=0)
 
 
 def test_family_constants_at_pi_over_six():
@@ -76,8 +85,8 @@ def test_steadiness_invariant_under_symmetries():
 
 
 def test_theta_grid_subset():
-    # near the endpoint the family map is badly conditioned in double
-    # precision; steadiness_measure escalates internally
+    # near the endpoint the family map is badly conditioned in the constants;
+    # build_steady takes them from 40 digits at every truncation
     for theta in np.linspace(0, np.pi / 3, 50, endpoint=False)[[0, 13, 29, 41, 47]]:
         meas = steadiness_measure(SteadyV3Params(scale=1.0, a=0.0, b_angle=0.0, theta=float(theta)))
         assert meas.abs_j < 1e-11, theta
@@ -86,8 +95,18 @@ def test_theta_grid_subset():
 
 needs_float128 = pytest.mark.skipif(not hasattr(np, "float128"), reason="numpy has no float128 here")
 
-# criterion 10's grid; the extended path starts at its point 47
+# criterion 10's grid; its last three points need more than 50k modes
 STEADY_GRID = np.linspace(0, np.pi / 3, 50, endpoint=False)
+
+
+def _family_constants_ld(theta: float):
+    """The family constants in 80-bit arithmetic, for the reference below."""
+    t = np.float128(theta)
+    root = np.sqrt(np.float128(9) + 2 * np.cos(2 * t) - 2 * np.cos(4 * t))
+    mean = -(2 * np.sqrt(np.float128(3)) / 3) * np.sin(t)
+    c = (1 + 2 * np.cos(2 * t)) ** 2 / (3 * root)
+    p = 4 * (2 + np.cos(2 * t)) * np.sin(t) / (np.sqrt(np.float128(3)) * root)
+    return mean, c, p
 
 
 def _measure_all_80_bit(params: SteadyV3Params, trunc: int) -> tuple[float, float, float]:
@@ -126,13 +145,13 @@ def test_extended_measure_matches_all_80_bit_products():
         assert abs(meas.rhs_norm - ref_flow) <= 1e-15 * gain
 
 
-@needs_float128
 def test_conserved_j_sums_pairwise_at_millions_of_modes():
-    # a BLAS dot product read 6.5e-13 here on one thread (3.1e-14 on two);
-    # the kernel's pairwise grid mean reads 4.1e-14 whatever the BLAS threading
+    # a BLAS dot product read 6.5e-13 at this size on one thread (3.1e-14 on
+    # two); the kernel's pairwise grid mean stays at round-off whatever the
+    # BLAS threading
     theta = float(STEADY_GRID[49])
     params = SteadyV3Params(scale=1.0, a=0.0, b_angle=0.0, theta=theta)
-    u = HardyCoefficients(_family_coefficients_ld(params, suggested_trunc(theta)).astype(np.complex128))
+    u = build_steady(params, suggested_trunc(theta))
     assert u.trunc == 2_464_553
     j = conserved(u).J
     assert j == j_and_flow(u.coeffs)[0]
@@ -141,28 +160,36 @@ def test_conserved_j_sums_pairwise_at_millions_of_modes():
     assert is_steady(u, tol=1e-13)
 
 
-def _mp_from_ld(x) -> mpmath.mpf:
-    """Exact value of an 80-bit float: 64-bit mantissa times a power of 2."""
-    mant, exp = np.frexp(np.float128(x))
-    return mpmath.mpf((int(np.ldexp(mant, 64)), int(exp) - 64))
-
-
-@needs_float128
-def test_extended_coefficients_match_mpmath():
+def test_coefficients_match_40_digit_family():
+    # the true family member (theta, scale, a and b as given), not a rounded
+    # pole factor: a q rounded to double or to 80 bits drifts by k times its
+    # rounding, 2.4e-13 relative at the last mode for 80 bits
     theta = float(STEADY_GRID[49])
     n = suggested_trunc(theta)
     assert n == 2_464_553
     params = SteadyV3Params(scale=1.3, a=0.4, b_angle=2.1, theta=theta)
-    coeffs = _family_coefficients_ld(params, n)
-    _, _, p = _family_constants_ld(theta)
-    q = p * np.exp(np.complex256(1j * params.b_angle))
+    coeffs = build_steady(params, n).coeffs
     with mpmath.workdps(40):
-        first = mpmath.mpc(_mp_from_ld(coeffs[1].real), _mp_from_ld(coeffs[1].imag))
-        q_mp = mpmath.mpc(_mp_from_ld(q.real), _mp_from_ld(q.imag))
-        for k in (1, n // 2, n - 1):
-            ref = first * q_mp ** (k - 1)
-            got = mpmath.mpc(_mp_from_ld(coeffs[k].real), _mp_from_ld(coeffs[k].imag))
-            assert abs(got - ref) <= 1e-12 * abs(ref), k
+        t = mpmath.mpf(theta)
+        root = mpmath.sqrt(9 + 2 * mpmath.cos(2 * t) - 2 * mpmath.cos(4 * t))
+        mean = -(2 * mpmath.sqrt(3) / 3) * mpmath.sin(t)
+        c = (1 + 2 * mpmath.cos(2 * t)) ** 2 / (3 * root)
+        p = 4 * (2 + mpmath.cos(2 * t)) * mpmath.sin(t) / (mpmath.sqrt(3) * root)
+        front = params.scale * mpmath.expj(params.a)
+        assert family_constants(theta) == (float(mean), float(c), float(p))
+        for k in (0, 1, 2, 1000, n // 2, n - 1):
+            ref = front * mean if k == 0 else front * c * p ** (k - 1) * mpmath.expj(k * mpmath.mpf(params.b_angle))
+            assert abs(mpmath.mpc(coeffs[k]) - ref) <= 4 * np.finfo(float).eps * abs(ref), k
+
+
+def test_steady_runs_without_float128(monkeypatch):
+    # numpy has no float128 on Windows or macOS arm64
+    monkeypatch.delattr(np, "float128", raising=False)
+    monkeypatch.delattr(np, "complex256", raising=False)
+    for theta in STEADY_GRID[[45, 47, 48, 49]]:
+        meas = steadiness_measure(SteadyV3Params(scale=1.0, a=0.0, b_angle=0.0, theta=float(theta)))
+        assert meas.abs_j < STEADY_TOL and meas.rhs_norm < STEADY_TOL, theta
+    assert main(["steady", "--theta", "1.0262536001726656", "--verify"]) == 0
 
 
 def test_suggested_trunc_monotone_and_capped():
@@ -174,19 +201,6 @@ def test_suggested_trunc_monotone_and_capped():
     # the cap binds from theta ~ 1.0312, 1.6e-2 before pi/3
     assert truncs[-2] == 5_414_876
     assert truncs[-1] == 6_000_000
-
-
-def test_extended_precision_missing_fails_loudly(monkeypatch):
-    monkeypatch.delattr(np, "float128", raising=False)
-    params = SteadyV3Params(scale=1.0, a=0.0, b_angle=0.0, theta=1.0)
-    with pytest.raises(ExtendedPrecisionUnavailable, match="float128") as info:
-        steadiness_measure(params, trunc=64, extended=True)
-    assert isinstance(info.value, QuadSzegoError)
-    # the default escalation to 80 bits (theta=1.0 needs > 50k modes) fails alike
-    with pytest.raises(ExtendedPrecisionUnavailable):
-        steadiness_measure(params)
-    # the double-precision branch does not need float128
-    assert not steadiness_measure(params, trunc=64, extended=False).extended
 
 
 def test_is_steady_rejects_ground_state():
@@ -219,8 +233,7 @@ def test_is_steady_samples_the_state_once(monkeypatch):
 
 
 @pytest.mark.parametrize("trunc", [0, -3])
-def test_nonpositive_trunc_rejected_before_any_work(trunc, monkeypatch):
-    monkeypatch.delattr(np, "float128", raising=False)  # the 80-bit branch would raise first
+def test_nonpositive_trunc_rejected_before_any_work(trunc):
     params = SteadyV3Params(scale=1.0, a=0.0, b_angle=0.0, theta=0.5)
     for call in (lambda: build_steady(params, trunc), lambda: steadiness_measure(params, trunc=trunc, extended=True)):
         with pytest.raises(ValueError, match="trunc must be >= 1"):

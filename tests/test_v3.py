@@ -96,6 +96,13 @@ def test_derived_matches_embedded_conserved():
         assert d.J == pytest.approx(c.J, rel=1e-9, abs=1e-11)
 
 
+def test_derived_of_a_huge_state_has_infinite_ecal():
+    # Python float ** raised OverflowError here
+    d = derived(V3State(b=1e60, c=0.5, p=0.3))
+    assert d.Ecal == np.inf
+    assert np.isfinite(d.J)
+
+
 def test_translated_ground_state_quantities():
     r = 0.25
     d = derived(translated_ground_state(r))
