@@ -3,10 +3,11 @@
 The truncated equation is a smooth, non-stiff ODE on the first ``trunc``
 Fourier coefficients.  :func:`sample_dop853`, the package's one integrator
 (the reduced flow of :mod:`~quadszego.v3` runs on it too), steps it by
-adaptive DOP853 and reads it on the ``dt`` sample grid; the conservation
-monitors catch inadequate resolution.  Each right-hand side is one
-:func:`~quadszego.hardy.j_and_flow`, an alias-free FFT pair that keeps the
-state dimension fixed.
+adaptive DOP853, imported on its first call so that checks that never
+integrate skip ``scipy.integrate``'s import, and reads it on the ``dt``
+sample grid; the conservation monitors catch inadequate resolution.  Each
+right-hand side is one :func:`~quadszego.hardy.j_and_flow`, an alias-free
+FFT pair that keeps the state dimension fixed.
 
 Invariants are recorded during integration, because their drift aborts it.
 The Hankel spectra are not: a :class:`TrajectoryRecord` computes them on
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from .errors import DriftExceeded, NonFiniteState
 from .hardy import ConservedTriple, HardyCoefficients, conserved, j_and_flow
@@ -176,6 +176,7 @@ def sample_dop853(fun, y0: np.ndarray, h: float, n: int, record, keep=None, fail
     only then.  Raises :class:`NonFiniteState` for a non-finite start or
     accepted state and ``failure`` when the step size underflows.
     """
+    from scipy.integrate import DOP853  # here: it loads scipy.optimize/.sparse/.linalg, 0.16-0.27 s on 2 vCPU
     if n == 0:
         return 0, 0
     if not np.all(np.isfinite(y0)):

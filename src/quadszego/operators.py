@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import NotEigenvector, PoleCollision
 from .hardy import (
@@ -51,13 +50,13 @@ DEFAULT_RANK_TOL = 1e-10
 
 
 def _symbol_matrix(u: HardyCoefficients, size: int | None, offset: int) -> np.ndarray:
+    """Contiguous ``[j, k] = u_hat(j + k + offset)``, zero outside ``0..trunc-1``; ``offset > -size``."""
     size = u.trunc if size is None else size
     if size < 2:
-        raise ValueError("matrix size must be >= 2 (dominance undefined below that)")
+        raise ValueError("matrix size must be >= 2")
     full = np.zeros(2 * size - 1, dtype=np.complex128)
-    kept = u.coeffs[offset : offset + len(full)]
-    full[: len(kept)] = kept
-    # row j of the window view is full[j : j + size]; copy it out contiguous
+    kept = u.coeffs[max(offset, 0) : offset + len(full)]
+    full[max(-offset, 0) :][: len(kept)] = kept
     return np.lib.stride_tricks.sliding_window_view(full, size).copy()
 
 
@@ -120,10 +119,7 @@ def sketched_hankel_pair(h: np.ndarray, width: int) -> tuple[tuple[np.ndarray, f
 def a_u(u: HardyCoefficients, size: int | None = None) -> np.ndarray:
     """Hermitian matrix of ``T_u + T_conj(u)``: ``A[j,k] = u_hat(j-k) + conj(u_hat(k-j))``."""
     size = u.trunc if size is None else size
-    if size < 2:
-        raise ValueError("matrix size must be >= 2")
-    col = u.padded(max(size, u.trunc))[:size]
-    t_u = toeplitz(col, np.zeros(size, dtype=np.complex128))
+    t_u = _symbol_matrix(u, size, offset=1 - size)[:, ::-1]  # T[j, k] = u_hat(j - k)
     return t_u + t_u.conj().T
 
 

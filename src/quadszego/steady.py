@@ -113,6 +113,11 @@ def build_steady(params: SteadyV3Params, trunc: int) -> HardyCoefficients:
     into the output.  ``|P| >= 1`` cannot occur on the stated theta range and
     raises :class:`PoleOutsideDisc`; ``trunc < 1`` raises ``ValueError``.
     """
+    return HardyCoefficients(_steady_coeffs(params, trunc))
+
+
+def _steady_coeffs(params: SteadyV3Params, trunc: int) -> np.ndarray:
+    """:func:`build_steady`'s coefficients as a bare array, copied no further."""
     if trunc < 1:
         raise ValueError(f"trunc must be >= 1, got {trunc}")
     mean, c, p = _family_decimals(params.theta)
@@ -125,7 +130,7 @@ def build_steady(params: SteadyV3Params, trunc: int) -> HardyCoefficients:
     n = trunc - 1  # out[1:] holds head * q^0 .. head * q^(n-1)
     if p == 0 or n == 0:
         out[1:2] = head
-        return HardyCoefficients(out)
+        return out
     with localcontext(_DIGITS):
         log_p = p.ln()
         log_hi = _split(float(log_p))[0]
@@ -141,7 +146,7 @@ def build_steady(params: SteadyV3Params, trunc: int) -> HardyCoefficients:
     outer = head * powers(s * np.arange(rows + 1, dtype=float))
     np.multiply(outer[:rows, None], inner, out=out[1 : 1 + rows * s].reshape(rows, s))
     out[1 + rows * s :] = outer[rows] * inner[:tail]
-    return HardyCoefficients(out)
+    return out
 
 
 def suggested_trunc(theta: float, tail: float = 3e-14, cap: int = 6_000_000) -> int:
@@ -195,7 +200,7 @@ def steadiness_measure(
     the norm of the ``trunc`` kept flow modes.  ``extended`` is ignored.
     """
     tr = suggested_trunc(params.theta) if trunc is None else trunc
-    j, flow = j_and_flow(build_steady(params, tr).coeffs)
+    j, flow = j_and_flow(_steady_coeffs(params, tr))
     return SteadinessMeasure(abs_j=float(abs(j)), rhs_norm=float(np.linalg.norm(flow)), trunc=tr)
 
 

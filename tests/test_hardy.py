@@ -368,10 +368,13 @@ def test_json_rejects_malformed_payload(payload, message):
         HardyCoefficients.from_json(payload)
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal (and the scipy.stats it pulls in) costs most of the import
+def test_import_loads_no_heavy_scipy_subpackage():
+    # scipy.signal (with scipy.stats) and scipy.integrate (with scipy.optimize,
+    # .sparse and .linalg) would dominate the start-up of every CLI run; the
+    # integrator imports scipy.integrate on its first call
     src = str(Path(quadszego.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, quadszego; print('scipy.signal' in sys.modules)"
+    heavy = ["scipy.signal", "scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse"]
+    code = f"import sys, quadszego, quadszego.cli; print([m for m in {heavy!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

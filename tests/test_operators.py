@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from quadszego.dynamics import SimulationConfig, integrate
 from quadszego.errors import NotEigenvector, PoleCollision
@@ -85,8 +86,13 @@ def test_symbol_matrix_matches_index_gather(size, offset):
 
 def test_a_u_hermitian_by_construction():
     rng = np.random.default_rng(2)
-    a = a_u(random_state(rng))
+    u = random_state(rng)
+    a = a_u(u)
     assert np.array_equal(a, a.conj().T)
+    for size in (2, 13, u.trunc, u.trunc + 7):  # below, at and above the truncation
+        col = u.padded(max(size, u.trunc))[:size]
+        t = scipy.linalg.toeplitz(col, np.zeros(size, dtype=np.complex128))
+        assert a_u(u, size).tobytes() == (t + t.conj().T).tobytes()
 
 
 # ---------------------------------------------------------------- squared operators
