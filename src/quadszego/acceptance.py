@@ -2,8 +2,11 @@
 
 Each ``criterion_*`` function performs one end-to-end verification at its
 pinned tolerance and returns a :class:`CheckResult`; ``run_all`` executes the
-whole matrix.  The pytest wrappers in ``tests/test_acceptance.py`` assert
-these results, and the ``szego certify`` subcommand emits them as JSON.
+whole matrix.  One runner, :func:`_criterion`, times every criterion on a
+monotonic clock (``time.perf_counter``) and builds its result, so each
+criterion states its name and wall-clock gate once.  The pytest wrappers in
+``tests/test_acceptance.py`` assert these results, and the ``szego certify``
+subcommand emits them as JSON.
 
 ``quick=True`` shrinks grids and horizons for a fast smoke pass; the full
 run is the one that certifies.
@@ -11,6 +14,7 @@ run is the one that certifies.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -81,6 +85,23 @@ def _jsonable(v):
     return v
 
 
+def _criterion(name: str, gate: float | None = None):
+    """Make a ``criterion_N(quick)`` body that returns ``(passed, details)``
+    into a criterion: it runs the body timed on ``time.perf_counter`` and
+    returns the :class:`CheckResult` named ``name`` with the gate ``gate``."""
+
+    def wrap(check):
+        @functools.wraps(check)
+        def run(quick: bool = False) -> CheckResult:
+            t0 = time.perf_counter()
+            passed, details = check(quick)
+            return CheckResult(name, passed, time.perf_counter() - t0, details, gate=gate)
+
+        return run
+
+    return wrap
+
+
 def tw_grid(quick: bool = False) -> list[tuple]:
     """The (family, lam, p, N) grid of criterion 1 and ``szego verify-tw --grid``."""
     lams = [0.5, 1.0] if not quick else [1.0]
@@ -117,28 +138,22 @@ def gn_sweep(rng: np.random.Generator, samples: int) -> tuple[int, float]:
     return violations, worst
 
 
-def criterion_1_traveling_wave_certification(quick: bool = False) -> CheckResult:
+@_criterion("1 traveling-wave certification", gate=10.0)
+def criterion_1_traveling_wave_certification(quick: bool = False):
     """Residuals of both wave families over the (lam, p, N) grid; closed-form
     pulsation/velocity spot checks to 1e-12."""
-    t0 = time.time()
     grid = tw_grid(quick)
     worst = max(tw_residual(job)["residual"] for job in grid)
     ref = TravelingWaveSpec("I", 1.0, 0.5, 1)
     omega_err = abs(ref.omega - 6.518518518518518)
     c_err = abs(ref.c - 1.7777777777777777)
-    runtime = time.time() - t0
-    return CheckResult(
-        "1 traveling-wave certification",
-        worst < TW_TOL and omega_err < 1e-12 and c_err < 1e-12,
-        runtime,
-        {"worst_residual": worst, "profiles": len(grid), "omega_err": omega_err, "c_err": c_err},
-        gate=10.0,
-    )
+    passed = worst < TW_TOL and omega_err < 1e-12 and c_err < 1e-12
+    return passed, {"worst_residual": worst, "profiles": len(grid), "omega_err": omega_err, "c_err": c_err}
 
 
-def criterion_2_exact_orbit(quick: bool = False) -> CheckResult:
+@_criterion("2 exact-orbit reproduction", gate=30.0)
+def criterion_2_exact_orbit(quick: bool = False):
     """Simulated family-I wave matches the exact coefficient phase law in L2."""
-    t0 = time.time()
     spec = TravelingWaveSpec("I", 1.0, 0.5, 1)
     v0 = build_profile(spec, 256)
     t_final = 1.0 if quick else 5.0
@@ -149,37 +164,23 @@ def criterion_2_exact_orbit(quick: bool = False) -> CheckResult:
         float(np.linalg.norm(st.coeffs - v0.coeffs * np.exp(-1j * (spec.omega + spec.c * k) * t)))
         for t, st in zip(traj.times, traj.states)
     )
-    runtime = time.time() - t0
-    return CheckResult(
-        "2 exact-orbit reproduction",
-        err < 1e-6,
-        runtime,
-        {"max_l2_error": err, "t_final": t_final},
-        gate=30.0,
-    )
+    return err < 1e-6, {"max_l2_error": err, "t_final": t_final}
 
 
-def criterion_3_conservation(quick: bool = False) -> CheckResult:
+@_criterion("3 conservation drift", gate=60.0)
+def criterion_3_conservation(quick: bool = False):
     """Q, M, E relative drift on the three-parameter-class datum."""
-    t0 = time.time()
     t_final = 2.0 if quick else 10.0
     cfg = SimulationConfig(dt=1e-3, t_final=t_final, trunc=256, monitor_stride=100, tol_drift=1e-6)
     traj = integrate(embed(V3_DATUM, 256), cfg)
     worst = max(traj.drift.values())
-    runtime = time.time() - t0
-    return CheckResult(
-        "3 conservation drift",
-        worst < 1e-8,
-        runtime,
-        {"drift": dict(traj.drift), "t_final": t_final},
-        gate=60.0,
-    )
+    return worst < 1e-8, {"drift": dict(traj.drift), "t_final": t_final}
 
 
-def criterion_4_lax_identities(quick: bool = False) -> CheckResult:
+@_criterion("4 Lax identities")
+def criterion_4_lax_identities(quick: bool = False):
     """Both operator identities: block residual < 1e-9 at M=256, full-matrix
     residual falling by >= 4x from M=256 to M=512."""
-    t0 = time.time()
     m_small, m_big = (128, 256) if quick else (256, 512)
     details = {}
     passed = True
@@ -198,8 +199,7 @@ def criterion_4_lax_identities(quick: bool = False) -> CheckResult:
             "full_H_small": rh_full_small,
             "full_H_big": rh_full_big,
         }
-    runtime = time.time() - t0
-    return CheckResult("4 Lax identities", bool(passed), runtime, details)
+    return passed, details
 
 
 def _lax_symbols():
@@ -229,9 +229,9 @@ def _lax_symbols():
     }
 
 
-def criterion_5_integrability_signatures(quick: bool = False) -> CheckResult:
+@_criterion("5 integrability signatures")
+def criterion_5_integrability_signatures(quick: bool = False):
     """K^2 spectrum constant along a rank-(2,2) trajectory; ranks preserved."""
-    t0 = time.time()
     coeffs = 2.0 * 0.4 ** np.arange(256) - 0.2 ** np.arange(256)  # 1/((1-.4z)(1-.2z)) in V(4)
     u0 = HardyCoefficients(coeffs)
     t_final = 1.0 if quick else 5.0
@@ -241,19 +241,13 @@ def criterion_5_integrability_signatures(quick: bool = False) -> CheckResult:
     spec_dev = float(np.max(np.abs(traj.k2_spectra - spec0)))
     off_rank = float(np.max(traj.k2_spectra[:, 2:]))
     ranks_ok = rank_conservation_check(traj, 4, tol=1e-8)
-    runtime = time.time() - t0
     passed = spec_dev < 1e-6 and ranks_ok and off_rank < 1e-8
-    return CheckResult(
-        "5 integrability signatures",
-        passed,
-        runtime,
-        {"spectrum_dev": spec_dev, "ranks_preserved": ranks_ok, "max_off_rank_eig": off_rank},
-    )
+    return passed, {"spectrum_dev": spec_dev, "ranks_preserved": ranks_ok, "max_off_rank_eig": off_rank}
 
 
-def criterion_6_profile_eigenstructure(quick: bool = False) -> CheckResult:
+@_criterion("6 profile eigenstructure")
+def criterion_6_profile_eigenstructure(quick: bool = False):
     """Eigenvector identities of the normalized multi-pole profiles."""
-    t0 = time.time()
     alpha = 0.4
     details = {}
     passed = True
@@ -283,13 +277,12 @@ def criterion_6_profile_eigenstructure(quick: bool = False) -> CheckResult:
             "umvm_residual": umvm_res,
             "q_residual": ident["q_residual"],
         }
-    runtime = time.time() - t0
-    return CheckResult("6 profile eigenstructure", bool(passed), runtime, details)
+    return passed, details
 
 
-def criterion_7_gagliardo_nirenberg(quick: bool = False) -> CheckResult:
+@_criterion("7 Gagliardo-Nirenberg sweep", gate=20.0)
+def criterion_7_gagliardo_nirenberg(quick: bool = False):
     """Seeded sweep of the energy inequality; equality on geometric states."""
-    t0 = time.time()
     rng = np.random.default_rng(GN_SEED)
     n_samples = 1000 if quick else GN_SAMPLES
     violations, worst = gn_sweep(rng, n_samples)
@@ -301,17 +294,12 @@ def criterion_7_gagliardo_nirenberg(quick: bool = False) -> CheckResult:
         c = conserved(HardyCoefficients(lam * p ** np.arange(256)))
         bound = 0.5 * c.Q**2 * (c.Q + c.M)
         eq_worst = max(eq_worst, abs(c.E - bound) / bound)
-    runtime = time.time() - t0
-    return CheckResult(
-        "7 Gagliardo-Nirenberg sweep",
-        violations == 0 and eq_worst < 1e-12,
-        runtime,
-        {"samples": n_samples, "violations": violations, "worst_excess": worst_excess, "equality_gap": eq_worst},
-        gate=20.0,
-    )
+    details = {"samples": n_samples, "violations": violations, "worst_excess": worst_excess, "equality_gap": eq_worst}
+    return violations == 0 and eq_worst < 1e-12, details
 
 
-def criterion_8_instability_mechanism(quick: bool = False) -> CheckResult:
+@_criterion("8 instability mechanism")
+def criterion_8_instability_mechanism(quick: bool = False):
     """Perturbed translated ground state: initial push, exit, gamma scaling.
 
     The exit clause is asserted exactly as stated.  It cannot hold: the
@@ -321,7 +309,6 @@ def criterion_8_instability_mechanism(quick: bool = False) -> CheckResult:
     spectral dynamics), strictly inside the 1e-2 exit ball.  The measured
     band and the vanishing y-linear fit are reported alongside.
     """
-    t0 = time.time()
     if quick:
         rep = instability_experiment(INSTABILITY_R, INSTABILITY_GAMMA, t_final=10.0)
     else:
@@ -330,32 +317,26 @@ def criterion_8_instability_mechanism(quick: bool = False) -> CheckResult:
     coeff_ok = abs(rep.coeff_leading - 0.329218) < 1e-6
     exit_ok = rep.escaped  # faithful assertion; see docstring
     order_ok = abs(rep.gamma_order - 2.0) < 0.05
-    runtime = time.time() - t0
     passed = push_ok and coeff_ok and exit_ok and order_ok
-    return CheckResult(
-        "8 instability mechanism",
-        bool(passed),
-        runtime,
-        {
-            "dydt2_measured": rep.dydt2_measured,
-            "dydt2_predicted": rep.dydt2_predicted,
-            "delta_ecal": rep.delta_ecal,
-            "escaped": rep.escaped,
-            "y_max_abs": rep.y_max_abs,
-            "exit_threshold": rep.exit_threshold,
-            "y_linear_fit": rep.y_linear_fit,
-            "coeff_linear_reference": rep.coeff_linear,
-            "coeff_quadratic": rep.coeff_quadratic,
-            "y_quadratic_fit": rep.y_quadratic_fit,
-            "gamma_order": rep.gamma_order,
-            "clauses": {"push": push_ok, "exit": exit_ok, "gamma_order": order_ok},
-        },
-    )
+    return passed, {
+        "dydt2_measured": rep.dydt2_measured,
+        "dydt2_predicted": rep.dydt2_predicted,
+        "delta_ecal": rep.delta_ecal,
+        "escaped": rep.escaped,
+        "y_max_abs": rep.y_max_abs,
+        "exit_threshold": rep.exit_threshold,
+        "y_linear_fit": rep.y_linear_fit,
+        "coeff_linear_reference": rep.coeff_linear,
+        "coeff_quadratic": rep.coeff_quadratic,
+        "y_quadratic_fit": rep.y_quadratic_fit,
+        "gamma_order": rep.gamma_order,
+        "clauses": {"push": push_ok, "exit": exit_ok, "gamma_order": order_ok},
+    }
 
 
-def criterion_9_v3_consistency(quick: bool = False) -> CheckResult:
+@_criterion("9 reduced-vs-full consistency")
+def criterion_9_v3_consistency(quick: bool = False):
     """Reduced ODE vs full spectral dynamics; evolution law of x by FD."""
-    t0 = time.time()
     t_final = 1.0 if quick else 2.0
     cfg = SimulationConfig(dt=1e-3, t_final=t_final, trunc=256, monitor_stride=100, tol_drift=1e-6)
     pde = integrate(embed(V3_DATUM, 256), cfg)
@@ -369,19 +350,13 @@ def criterion_9_v3_consistency(quick: bool = False) -> CheckResult:
     res_coarse = evolx_residual(ode)
     res_fine = evolx_residual(v3_integrate(V3_DATUM, 5e-5, t_final, stride=1000))
     ratio = res_coarse / res_fine
-    runtime = time.time() - t0
     passed = gap < 1e-6 and res_coarse < 1e-5 and 2.5 < ratio
-    return CheckResult(
-        "9 reduced-vs-full consistency",
-        passed,
-        runtime,
-        {"l2_gap": gap, "evolx_residual": res_coarse, "fd_scaling_ratio": ratio},
-    )
+    return passed, {"l2_gap": gap, "evolx_residual": res_coarse, "fd_scaling_ratio": ratio}
 
 
-def criterion_10_steady_family(quick: bool = False) -> CheckResult:
+@_criterion("10 steady family grid")
+def criterion_10_steady_family(quick: bool = False):
     """50-point theta grid of the equilibrium family plus the explicit example."""
-    t0 = time.time()
     n_grid = 12 if quick else 50
     thetas = np.linspace(0.0, np.pi / 3.0, n_grid, endpoint=False)
     worst_j = worst_rhs = 0.0
@@ -391,50 +366,32 @@ def criterion_10_steady_family(quick: bool = False) -> CheckResult:
         worst_rhs = max(worst_rhs, meas.rhs_norm)
     ex = explicit_example(512)
     ex_j = abs(conserved(ex).J)
-    runtime = time.time() - t0
     passed = worst_j < STEADY_TOL and worst_rhs < STEADY_TOL and ex_j < 1e-13
-    return CheckResult(
-        "10 steady family grid",
-        passed,
-        runtime,
-        {"worst_abs_J": worst_j, "worst_rhs_norm": worst_rhs, "example_abs_J": ex_j, "grid": n_grid},
-    )
+    return passed, {"worst_abs_J": worst_j, "worst_rhs_norm": worst_rhs, "example_abs_J": ex_j, "grid": n_grid}
 
 
-def criterion_11_composition_invariance(quick: bool = False) -> CheckResult:
+@_criterion("11 composition invariance")
+def criterion_11_composition_invariance(quick: bool = False):
     """Flow commutation under z -> z^N; isometry and J invariance."""
-    t0 = time.time()
     cfg = replace(COMPOSE_CONFIG, t_final=0.5) if quick else COMPOSE_CONFIG
     u0 = embed(V3_DATUM, cfg.trunc)
     gaps = {n: verify_flow_commutation(u0, n, cfg) for n in (2, 3)}
     iso_err = abs(compose_zN(u0, 3).norm() - u0.norm())
     j_err = abs(conserved(compose_zN(u0, 3)).J - conserved(u0).J)
-    runtime = time.time() - t0
     passed = max(gaps.values()) < COMPOSE_TOL and iso_err < 1e-14 and j_err < 1e-14
-    return CheckResult(
-        "11 composition invariance",
-        passed,
-        runtime,
-        {"gap_N2": gaps[2], "gap_N3": gaps[3], "isometry_err": iso_err, "j_err": j_err},
-    )
+    return passed, {"gap_N2": gaps[2], "gap_N3": gaps[3], "isometry_err": iso_err, "j_err": j_err}
 
 
-def criterion_12_standing_wave_family(quick: bool = False) -> CheckResult:
+@_criterion("12 standing-wave family")
+def criterion_12_standing_wave_family(quick: bool = False):
     """Arc standing wave: mode residual small and halving as trunc doubles."""
-    t0 = time.time()
     theta = 0.25
     trunc = 4096 if quick else 8192
     arcs = [(0.0, 2 * np.pi * theta)]
     res = verify_standing(standing_wave_arc(theta, arcs, trunc), 16)
     res2 = verify_standing(standing_wave_arc(theta, arcs, 2 * trunc), 16)
-    runtime = time.time() - t0
     passed = res < 1e-3 and res2 <= 0.65 * res
-    return CheckResult(
-        "12 standing-wave family",
-        passed,
-        runtime,
-        {"residual": res, "residual_doubled": res2, "ratio": res2 / res, "trunc": trunc},
-    )
+    return passed, {"residual": res, "residual_doubled": res2, "ratio": res2 / res, "trunc": trunc}
 
 
 CRITERIA = [
@@ -453,11 +410,10 @@ CRITERIA = [
 ]
 
 
-def run_all(quick: bool = False, verbose: bool = True) -> list[CheckResult]:
+def run_all(quick: bool = False) -> list[CheckResult]:
     results = []
     for fn in CRITERIA:
         res = fn(quick=quick)
         results.append(res)
-        if verbose:
-            print(res.line(), flush=True)
+        print(res.line(), flush=True)
     return results

@@ -274,9 +274,12 @@ def conserved(u: HardyCoefficients) -> ConservedTriple:
     one :func:`j_and_flow` returns, from one inverse FFT and no forward FFT)
     and ``E = |J|^2 / 2``.
     """
-    absq = np.abs(u.coeffs) ** 2
-    q = float(np.sum(absq))
-    mom = float(np.sum(np.arange(u.trunc) * absq))
-    j = complex(_j_step(grid_values(u.coeffs))[0])
+    # as in quadratic_products: a huge or non-finite state gives inf/nan
+    # quietly, and callers check the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        absq = np.abs(u.coeffs) ** 2
+        q = float(np.sum(absq))
+        mom = float(np.sum(np.arange(u.trunc) * absq))
+        j = complex(_j_step(grid_values(u.coeffs))[0])
     # a product, not Python float **: a huge state gives E = inf, not OverflowError
     return ConservedTriple(Q=q, M=mom, E=0.5 * abs(j) * abs(j), J=j)

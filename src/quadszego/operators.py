@@ -335,12 +335,7 @@ class AuDReport:
         return self.n_sigma == 0
 
 
-def verify_au_minus_d(
-    u: HardyCoefficients,
-    varpi: float,
-    tol: float = 1e-8,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> AuDReport:
+def verify_au_minus_d(u: HardyCoefficients, varpi: float, tol: float = 1e-8) -> AuDReport:
     """Verify the ``A_u - D`` eigenvector identities for a profile ``u``.
 
     Raises :class:`NotEigenvector` when the eigen-residual exceeds ``tol``
@@ -348,7 +343,7 @@ def verify_au_minus_d(
     For constant ``u`` the report degenerates to the empty ladder.
     """
     m = u.trunc
-    report, k_vecs = _spectral_report(u, rank_tol)
+    report, k_vecs = _spectral_report(u, DEFAULT_RANK_TOL)
     if report.rank_K == 0:
         return AuDReport(
             n_sigma=0,
@@ -391,7 +386,7 @@ def verify_au_minus_d(
 
     # ladder: spectrum of A_u - D restricted to F (eigenspace of K^2 at sigma^2)
     k_eigs = report.k2_eigs
-    sel = np.abs(k_eigs - top.sigma2) <= 10 * rank_tol * k_eigs[0]
+    sel = np.abs(k_eigs - top.sigma2) <= 10 * DEFAULT_RANK_TOL * k_eigs[0]
     basis = k_vecs[:, sel]
     # Hermitian up to round-off; eigvalsh reads its lower triangle
     ladder = np.linalg.eigvalsh(basis.conj().T @ aud @ basis)

@@ -54,6 +54,8 @@ __all__ = [
 
 # the equilibrium gate on |J| and the flow norm: criterion 10, `szego steady --verify`, is_steady
 STEADY_TOL = 1e-11
+# suggested_trunc's target for the neglected tail of |J|, and its largest truncation
+_TRUNC_TAIL, _TRUNC_CAP = 3e-14, 6_000_000
 
 
 @dataclass(frozen=True)
@@ -149,15 +151,15 @@ def _steady_coeffs(params: SteadyV3Params, trunc: int) -> np.ndarray:
     return out
 
 
-def suggested_trunc(theta: float, tail: float = 3e-14, cap: int = 6_000_000) -> int:
-    """Truncation keeping the neglected geometric tail of ``|J|`` below ``tail``.
+def suggested_trunc(theta: float) -> int:
+    """Truncation keeping the neglected geometric tail of ``|J|`` below ``_TRUNC_TAIL``.
 
     The dominant omitted contribution to J comes from index triples with
     ``k + l >= M`` and is of order ``C^3 M P^{2M} / (1 - P^2)`` (plus a smaller
     ``2|b| C^2 P^{2M} / (1 - P^2)`` term); solved by a growing search and
-    clamped to ``[512, cap]``.  The 6M cap binds from theta ~ 1.0312, 1.6e-2
-    before the excluded endpoint pi/3; from there on the measured |J| is
-    dominated by the tail rather than by the family defect.
+    clamped to ``[512, _TRUNC_CAP]``.  The 6M cap binds from theta ~ 1.0312,
+    1.6e-2 before the excluded endpoint pi/3; from there on the measured |J|
+    is dominated by the tail rather than by the family defect.
     """
     mean, c, p = family_constants(theta)
     if p == 0.0:
@@ -170,9 +172,9 @@ def suggested_trunc(theta: float, tail: float = 3e-14, cap: int = 6_000_000) -> 
         return (c**3 * m + 2 * abs(mean) * c**2) * math.exp(log_tail) / (1.0 - p * p)
 
     m = 512
-    while m < cap and tail_est(m) > tail:
+    while m < _TRUNC_CAP and tail_est(m) > _TRUNC_TAIL:
         m = int(m * 1.3) + 64
-    return min(m, cap)
+    return min(m, _TRUNC_CAP)
 
 
 @dataclass(frozen=True)

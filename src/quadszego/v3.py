@@ -292,11 +292,11 @@ class InstabilityReport:
     """Outcome of one perturbed-ground-state run.
 
     ``coeff_linear`` is the reference prediction for the y-linear term of the
-    expanded evolution law; ``y_linear_fit`` (and its half-gamma twin) is the
-    same coefficient measured by regressing ``(dy/dt)^2`` on ``[1, y, y^2]``
-    along the simulated orbit.  The measured value vanishes: expanding the
-    closed-form law exactly gives ``(dy/dt)^2 = dE (A - dE) - D y^2 + O(y^3)``
-    with ``D = 3 r^4 (1+r)^2 (5r+3) / (1-r)^7`` (``coeff_quadratic``), so the
+    expanded evolution law; ``y_linear_fit`` is the same coefficient measured
+    by regressing ``(dy/dt)^2`` on ``[1, y, y^2]`` along the simulated orbit.
+    The measured value vanishes: expanding the closed-form law exactly gives
+    ``(dy/dt)^2 = dE (A - dE) - D y^2 + O(y^3)`` with
+    ``D = 3 r^4 (1+r)^2 (5r+3) / (1-r)^7`` (``coeff_quadratic``), so the
     reachable set is an oscillation band of half-width ``~sqrt(dE A / D)``
     rather than an unbounded escape; ``y_max_abs`` records the measured band.
     """
@@ -310,7 +310,6 @@ class InstabilityReport:
     dydt2_measured: float
     dydt2_predicted: float  # delta_ecal * (coeff_leading - delta_ecal)
     y_linear_fit: float
-    y_linear_fit_half: float
     y_quadratic_fit: float
     y_max_abs: float
     exit_threshold: float
@@ -373,11 +372,12 @@ def instability_experiment(
     (5-point one-sided stencil, keeping the leading-order check clean) with
     the predicted ``delta_ecal * (coeff_leading - delta_ecal)``, records the
     first exit of ``|y|`` from the ball of radius ``eps0 * sqrt(M_r)`` in both
-    time directions, and fits the y-linear term of the evolution law at
-    ``gamma`` and ``gamma/2``.  No exit before ``t_final`` leaves the exit
-    times ``None`` (a flag for parameter review, not a silent pass).  ``dt``
-    is the sample spacing of the runs (see :func:`v3_integrate`), which the
-    stencil, the exit times and the fits read.
+    time directions, fits the y-linear term of the evolution law along the
+    forward run, and measures how ``delta_ecal`` scales from ``gamma/2`` to
+    ``gamma``.  No exit before ``t_final`` leaves the exit times ``None`` (a
+    flag for parameter review, not a silent pass).  ``dt`` is the sample
+    spacing of the runs (see :func:`v3_integrate`), which the stencil, the
+    exit times and the fit read.
     """
     if not 0 <= gamma < math.pi / 2:
         raise ValueError("gamma must lie in [0, pi/2) so that cos(pi + gamma) > -1 strictly")
@@ -423,11 +423,6 @@ def instability_experiment(
     gamma_order = (
         math.log(delta_ecal / delta_half) / math.log(2.0) if delta_half > 0 and delta_ecal > 0 else float("nan")
     )
-    if gamma > 0:
-        half_run = v3_integrate(half, dt, min(t_final, 20.0), stride=1000)
-        lin_fit_half, _ = _fit_y_polynomial(half_run, x_r)
-    else:
-        lin_fit_half = float("nan")
 
     return InstabilityReport(
         r=r,
@@ -439,7 +434,6 @@ def instability_experiment(
         dydt2_measured=float(dydt0**2),
         dydt2_predicted=delta_ecal * (coeff_leading - delta_ecal),
         y_linear_fit=lin_fit,
-        y_linear_fit_half=lin_fit_half,
         y_quadratic_fit=quad_fit,
         y_max_abs=y_max,
         exit_threshold=threshold,

@@ -8,6 +8,9 @@ exit ball.  The failure is deliberate and documented; the band value and the
 vanishing y-linear fit in the reported details carry the evidence.
 """
 
+import itertools
+import time
+
 import pytest
 
 from quadszego import acceptance
@@ -42,3 +45,11 @@ def test_runtime_at_gate_fails():
     late = acceptance.CheckResult("x", True, 30.0, gate=30.0)
     assert not late.passed and late.line() == "FAIL  x  (30.0 s of 30 s)"
     assert acceptance.CheckResult("x", True, 99.0).line() == "PASS  x  (99.0 s)"
+
+
+def test_gate_reads_a_monotonic_clock(monkeypatch):
+    # a wall clock that steps 100 s per read must not move a criterion's runtime
+    ticks = itertools.count(0.0, 100.0)
+    monkeypatch.setattr(time, "time", lambda: next(ticks))
+    result = acceptance.criterion_1_traveling_wave_certification(quick=True)
+    assert result.passed and result.runtime < 10.0, result.line()

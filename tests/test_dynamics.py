@@ -3,6 +3,7 @@
 import csv
 import gc
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from quadszego.dynamics import (
     trajectory_to_jsonl,
 )
 from quadszego.errors import DriftExceeded, NonFiniteState
-from quadszego.hardy import HardyCoefficients, apply_D, quadratic_products
+from quadszego.hardy import HardyCoefficients, apply_D, conserved, quadratic_products
 from quadszego.operators import hankel, shifted_hankel
 from quadszego.v3 import V3State, embed
 from quadszego.waves import TravelingWaveSpec, build_profile
@@ -441,6 +442,18 @@ def test_drift_exceeded_raised():
     integrate(u0, replace(cfg, tol_drift=2 * worst))
     with pytest.raises(DriftExceeded):
         integrate(u0, replace(cfg, tol_drift=worst / 2))
+
+
+def test_nonfinite_or_huge_state_warns_nothing():
+    # conserved overflows quietly to inf/nan, as the product kernel does;
+    # the integrator then raises NonFiniteState, with no RuntimeWarning first
+    cfg = SimulationConfig(dt=0.1, t_final=1.0, trunc=2, monitor_stride=1, tol_drift=1e6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState):
+            integrate(HardyCoefficients([1.0, np.inf]), cfg)
+        huge = conserved(HardyCoefficients([1e200, 1e200]))
+    assert huge.Q == np.inf and not np.isfinite(huge.E)
 
 
 def test_nonfinite_raised_on_blowup(monkeypatch):
