@@ -3,11 +3,12 @@
 The truncated equation is a smooth, non-stiff ODE on the first ``trunc``
 Fourier coefficients.  :func:`sample_dop853`, the package's one integrator
 (the reduced flow of :mod:`~quadszego.v3` runs on it too), steps it by
-adaptive DOP853, imported on its first call so that checks that never
-integrate skip ``scipy.integrate``'s import, and reads it on the ``dt``
-sample grid; the conservation monitors catch inadequate resolution.  Each
-right-hand side is one :func:`~quadszego.hardy.j_and_flow`, an alias-free
-FFT pair that keeps the state dimension fixed.
+adaptive DOP853 (Hairer, Norsett & Wanner, *Solving ODE I*, sec. II.5),
+implemented in :mod:`~quadszego._dop853` to match ``scipy.integrate.DOP853``
+bit for bit without importing ``scipy.integrate``, and reads it on the
+``dt`` sample grid; the conservation monitors catch inadequate resolution.
+Each right-hand side is one :func:`~quadszego.hardy.j_and_flow`, an
+alias-free FFT pair that keeps the state dimension fixed.
 
 Invariants are recorded during integration, because their drift aborts it.
 The Hankel spectra are not: a :class:`TrajectoryRecord` computes them on
@@ -164,8 +165,9 @@ def rhs(u: HardyCoefficients) -> HardyCoefficients:
 
 
 def sample_dop853(fun, y0: np.ndarray, h: float, n: int, record, keep=None, failure=NonFiniteState) -> tuple[int, int]:
-    """Step ``y' = fun(t, y)``, ``y(0) = y0``, by ``scipy.integrate.DOP853``
-    to ``t = n h``; returns the accepted steps and the right-hand-side
+    """Step ``y' = fun(t, y)``, ``y(0) = y0``, by the package's DOP853
+    (:class:`~quadszego._dop853.Dop853`, bit-identical to scipy's) to
+    ``t = n h``; returns the accepted steps and the right-hand-side
     evaluations, dense output included.
 
     After each step ``record(idx, ys)`` gets the samples ``i * h`` the step
@@ -173,51 +175,46 @@ def sample_dop853(fun, y0: np.ndarray, h: float, n: int, record, keep=None, fail
     their states the columns of ``ys``; a true return ends the run there.  A
     sample on the step's end takes the solver's state; any other is read
     from the step's dense output, which costs three evaluations and is built
-    only then.  Raises :class:`NonFiniteState` for a non-finite start or
-    accepted state and ``failure`` when the step size underflows.
+    only then.  Raises :class:`NonFiniteState` for a non-finite datum (also
+    when ``n == 0``), initial right-hand side or accepted state, and
+    ``failure`` when the step size underflows.
     """
-    from scipy.integrate import DOP853  # here: it loads scipy.optimize/.sparse/.linalg, 0.16-0.27 s on 2 vCPU
-    if n == 0:
-        return 0, 0
+    from ._dop853 import Dop853  # here: runs that never integrate (steady, ...) do not load it
+
     if not np.all(np.isfinite(y0)):
         raise NonFiniteState("non-finite initial state")
+    if n == 0:
+        return 0, 0
     # a state blowing up overflows in the stages, and the step then shrinks
     # until the solver gives up
     with np.errstate(over="ignore", invalid="ignore"):
-        solver = DOP853(fun, 0.0, y0, n * h, rtol=RTOL, atol=ATOL)
-        try:
-            if not np.all(np.isfinite(solver.f)):  # the first step size would be NaN, never rejected
-                raise NonFiniteState("non-finite right-hand side of the initial state")
-            steps = done = 0
-            while done < n:
-                message = solver.step()
-                if solver.status == "failed":
-                    raise failure(f"the solver stopped at t={solver.t:.6g}: {message}")
-                steps += 1
-                if not np.all(np.isfinite(solver.y)):
-                    raise NonFiniteState(f"non-finite state at t={solver.t:.6g}")
-                # the last sample passed; an ulp either way only moves a sample
-                # to the neighbouring step's interpolant
-                last = n if solver.status == "finished" else int(solver.t / h)
-                idx = np.arange(done + 1, last + 1)
-                done = last
-                idx = idx if keep is None else idx[keep(idx)]
-                if idx.size == 0:
-                    continue
-                t = idx * h
-                if t[-1] != solver.t:
-                    ys = solver.dense_output()(t)
-                elif len(t) == 1:
-                    ys = solver.y[:, None]
-                else:
-                    ys = np.column_stack([solver.dense_output()(t[:-1]), solver.y])
-                if record(idx, ys):
-                    break
-        finally:
-            # scipy's right-hand-side wrappers close over the solver, and in
-            # that cycle its stage arrays (16 x len(y0)) waited for the cyclic
-            # collector: repeated runs at trunc 512 grew the peak RSS by MBs
-            del solver.fun, solver.fun_vectorized
+        solver = Dop853(fun, y0, n * h, RTOL, ATOL)
+        if not np.all(np.isfinite(solver.f)):  # the first step size would be NaN, never rejected
+            raise NonFiniteState("non-finite right-hand side of the initial state")
+        steps = done = 0
+        while done < n:
+            if not solver.step():
+                raise failure(f"the solver stopped at t={solver.t:.6g}: the step size fell below the float spacing")
+            steps += 1
+            if not np.all(np.isfinite(solver.y)):
+                raise NonFiniteState(f"non-finite state at t={solver.t:.6g}")
+            # the last sample passed; an ulp either way only moves a sample
+            # to the neighbouring step's interpolant
+            last = n if solver.finished else int(solver.t / h)
+            idx = np.arange(done + 1, last + 1)
+            done = last
+            idx = idx if keep is None else idx[keep(idx)]
+            if idx.size == 0:
+                continue
+            t = idx * h
+            if t[-1] != solver.t:
+                ys = solver.dense_output(t)
+            elif len(t) == 1:
+                ys = solver.y[:, None]
+            else:
+                ys = np.column_stack([solver.dense_output(t[:-1]), solver.y])
+            if record(idx, ys):
+                break
     return steps, solver.nfev
 
 

@@ -24,6 +24,7 @@ Conventions
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,9 +278,17 @@ def conserved(u: HardyCoefficients) -> ConservedTriple:
     # as in quadratic_products: a huge or non-finite state gives inf/nan
     # quietly, and callers check the result
     with np.errstate(over="ignore", invalid="ignore"):
-        absq = np.abs(u.coeffs) ** 2
-        q = float(np.sum(absq))
-        mom = float(np.sum(np.arange(u.trunc) * absq))
+        weighted = np.abs(u.coeffs) ** 2
+        q = float(np.sum(weighted))
+        weighted *= np.arange(u.trunc)
+        weighted[0] = 0.0  # not 0 * inf, which made M of a huge state NaN
+        mom = float(np.sum(weighted))
         j = complex(_j_step(grid_values(u.coeffs))[0])
+        if not cmath.isfinite(j) and np.all(np.isfinite(u.coeffs)):
+            # the grid product overflowed (inf * 0 gave NaN); J is cubic and
+            # scaling by a power of two is exact, so J(u) = 2^(3e) J(2^-e u)
+            e = int(np.frexp(np.abs(u.coeffs.view(np.float64)).max())[1])
+            small = complex(_j_step(grid_values(u.coeffs * 2.0**-e))[0])
+            j = complex(np.ldexp(small.real, 3 * e), np.ldexp(small.imag, 3 * e))
     # a product, not Python float **: a huge state gives E = inf, not OverflowError
     return ConservedTriple(Q=q, M=mom, E=0.5 * abs(j) * abs(j), J=j)

@@ -180,7 +180,8 @@ def v3_integrate(
     shape; the run ends at the first sample where it holds, and the solver
     never gets further than one step past it.  Raises
     :class:`DegenerateState` near ``|p| = 1`` or ``c = 0``, checked at every
-    right-hand-side evaluation, or if the solver gives up, and
+    right-hand-side evaluation, or if the solver gives up,
+    :class:`~quadszego.errors.NonFiniteState` for a non-finite datum, and
     ``ValueError`` up front for ``dt == 0``, ``stride < 1`` or a ``t_final``
     that is not a whole number of ``dt``.
     """

@@ -8,9 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853
 
 from quadszego import dynamics
+from quadszego._dop853 import Dop853
 from quadszego.dynamics import (
     SimulationConfig,
     integrate,
@@ -22,7 +22,7 @@ from quadszego.dynamics import (
 from quadszego.errors import DriftExceeded, NonFiniteState
 from quadszego.hardy import HardyCoefficients, apply_D, conserved, quadratic_products
 from quadszego.operators import hankel, shifted_hankel
-from quadszego.v3 import V3State, embed
+from quadszego.v3 import V3State, embed, v3_integrate
 from quadszego.waves import TravelingWaveSpec, build_profile
 
 
@@ -479,19 +479,29 @@ def test_nonfinite_raised_on_blowup(monkeypatch):
         integrate(HardyCoefficients([1.0, 0.0]), cfg)
 
 
+def test_nonfinite_datum_raises_at_zero_horizon():
+    # the datum was checked only once there was a step to take, so a zero
+    # horizon returned a record of NaN invariants (and a reduced run x = 4/3)
+    cfg = SimulationConfig(dt=0.1, t_final=0.0, trunc=2, monitor_stride=1)
+    with pytest.raises(NonFiniteState, match="initial state"):
+        integrate(HardyCoefficients([1.0, np.nan]), cfg)
+    with pytest.raises(NonFiniteState, match="initial state"):
+        v3_integrate(V3State(b=np.nan, c=1.0, p=0.5), 0.1, 0.0)
+
+
 # ---------------------------------------------------------------- solver samples
 
 
 def _count_dense_outputs(monkeypatch) -> list:
     """Record the end time of the solver step behind every ``dense_output``."""
     calls = []
-    original = DOP853.dense_output
+    original = Dop853.dense_output
 
-    def counting(self):
+    def counting(self, t):
         calls.append(self.t)
-        return original(self)
+        return original(self, t)
 
-    monkeypatch.setattr(DOP853, "dense_output", counting)
+    monkeypatch.setattr(Dop853, "dense_output", counting)
     return calls
 
 
@@ -507,14 +517,14 @@ def test_snapshots_at_ends_build_no_dense_output(monkeypatch):
 
 
 def test_solver_freed_without_the_cycle_collector():
-    # scipy's solver sits in a reference cycle; left to the cyclic collector,
-    # its stage arrays piled up over repeated runs
+    # a solver in a reference cycle waits for the cyclic collector, and its
+    # stage arrays (16 x trunc) piled up over repeated runs
     u0 = embed(V3State(b=0.3 + 0.1j, c=1.0, p=0.4), 64)
     gc.collect()
     gc.disable()
     try:
         integrate(u0, SimulationConfig(dt=1e-3, t_final=0.05, trunc=64, monitor_stride=10))
-        assert not [obj for obj in gc.get_objects() if isinstance(obj, DOP853)]
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, Dop853)]
     finally:
         gc.enable()
 

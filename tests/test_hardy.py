@@ -314,6 +314,24 @@ def test_conserved_of_a_huge_state_has_infinite_energy():
     c = conserved(HardyCoefficients([1e70]))
     assert c.E == np.inf
     assert c.J == pytest.approx(1e210)
+    # with two modes M was 0 * inf = NaN, and J (so E) NaN from inf * 0 in
+    # the grid product
+    c = conserved(HardyCoefficients([1e200, 1e200]))
+    assert c.Q == c.M == c.E == np.inf
+    assert not np.isnan([c.Q, c.M, c.E, c.J.real, c.J.imag]).any()
+    # J = 2080 a^3 is finite, though the grid sum it comes from overflows
+    a = 5e304 ** (1 / 3)
+    assert conserved(HardyCoefficients(np.full(64, a))).J == pytest.approx(2080 * a**3, rel=1e-13)
+
+
+def test_j_is_exactly_cubic_under_powers_of_two():
+    # what conserved relies on to rescale a state whose grid product overflows
+    rng = np.random.default_rng(12)
+    u = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+    j = conserved(HardyCoefficients(u)).J
+    for k in (-100, 7, 200):
+        jk = conserved(HardyCoefficients(u * 2.0**k)).J
+        assert jk == complex(np.ldexp(j.real, 3 * k), np.ldexp(j.imag, 3 * k))
 
 
 # ---------------------------------------------------------------- value semantics
@@ -371,10 +389,18 @@ def test_json_rejects_malformed_payload(payload, message):
 def test_import_loads_no_heavy_scipy_subpackage():
     # scipy.signal (with scipy.stats) and scipy.integrate (with scipy.optimize,
     # .sparse and .linalg) would dominate the start-up of every CLI run; the
-    # integrator imports scipy.integrate on its first call
+    # integrator is the package's own DOP853, so integrating loads none either
     src = str(Path(quadszego.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     heavy = ["scipy.signal", "scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse"]
-    code = f"import sys, quadszego, quadszego.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    code = (
+        "import sys, quadszego, quadszego.cli\n"
+        "from quadszego.dynamics import SimulationConfig, integrate\n"
+        "from quadszego.hardy import HardyCoefficients\n"
+        "from quadszego.v3 import V3State, v3_integrate\n"
+        "integrate(HardyCoefficients([1.0, 0.5, 0.25]), SimulationConfig(dt=0.01, t_final=0.05, trunc=8, monitor_stride=2))\n"
+        "v3_integrate(V3State(b=0.3, c=1.0, p=0.4), 0.01, 0.05)\n"
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
