@@ -10,16 +10,12 @@ Conventions
 -----------
 * inner product ``(u|v) = sum_k u_hat(k) * conj(v_hat(k))`` (normalized
   Lebesgue measure on the circle, Parseval);
-* the flow's products ``u^2`` and ``Pi(|u|^2)`` come from one alias-free FFT
-  kernel, :func:`quadratic_products`, exact up to round-off in ``||u||^2``;
-* ``J = (u^2|u)`` is computed in one place, the J step that reads the
-  samples of :func:`grid_values`.  :func:`j_and_flow` adds the flow's
-  right-hand side to it, :func:`j_and_products` the products of
-  :func:`quadratic_products`, and :func:`conserved` takes it alone; the
-  integrator, the traveling-wave residual and the equilibrium checks all
-  take ``J`` from one of these, so every caller gets the same ``J`` bit for
-  bit.  Every FFT routine samples ``u`` on the grid that :func:`grid_values`
-  chooses.
+* the flow's nonlinearity ``2 J Pi(|u|^2) + conj(J) u^2`` is read through
+  two sampled entry points: :func:`quadratic_products` returns ``J`` with
+  the alias-free modes of ``u^2`` and ``Pi(|u|^2)``, :func:`j_and_flow`
+  ``J`` with the flow.  The sample grid, the J step (the one place
+  ``J = (u^2|u)`` is computed, so all callers agree bit for bit) and the FFT
+  passes are private here; :func:`conserved` and :func:`is_steady` use them.
 """
 
 from __future__ import annotations
@@ -37,14 +33,14 @@ __all__ = [
     "sobolev_norm",
     "apply_D",
     "conserved",
-    "grid_values",
     "quadratic_products",
-    "j_and_products",
     "j_and_flow",
+    "is_steady",
+    "STEADY_TOL",
 ]
 
 
-def grid_values(c: np.ndarray) -> np.ndarray:
+def _grid_values(c: np.ndarray) -> np.ndarray:
     """``u`` at ``exp(2 pi i j / L)``, ``j = 0..L-1``, from its ``M``
     coefficients ``c``, with ``L = next_fast_len(2M-1)``; keeps ``c``'s dtype.
 
@@ -61,20 +57,15 @@ def grid_values(c: np.ndarray) -> np.ndarray:
     return scipy.fft.ifft(v, norm="forward", overwrite_x=True)
 
 
-def _check_product_length(m: int, n: int) -> None:
-    if not 1 <= n <= 2 * m - 1:
-        raise ValueError(f"need 1 <= n <= 2M-1 = {2 * m - 1}, got n={n}")
-
-
 def _j_step(v: np.ndarray) -> tuple[complex, np.ndarray]:
     """``J = (u^2|u)`` and ``|v|^2`` from the samples ``v`` of
-    :func:`grid_values`.
+    :func:`_grid_values`.
 
     ``J`` is the mean of ``|v|^2 v``, summed pairwise, exact because no
     nonzero frequency of ``u^2 conj(u)`` is a multiple of the grid length; a
     BLAS dot product's round-off at millions of modes would exceed the
-    equilibrium certificate's gate, ``steady.STEADY_TOL``.  Every ``J`` in
-    the package comes from here, so all callers agree bit for bit.
+    equilibrium gate :data:`STEADY_TOL`.  Every ``J`` in the package comes
+    from here, so all callers agree bit for bit.
     """
     abs2 = v.real**2
     abs2 += v.imag**2
@@ -93,32 +84,20 @@ def _product_pass(v: np.ndarray, abs2: np.ndarray, m: int, n: int) -> tuple[np.n
     return u2, pi_abs2
 
 
-def quadratic_products(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Modes ``0..n-1`` of ``u^2`` and of ``Pi(|u|^2)``, for ``1 <= n <= 2M-1``.
+def quadratic_products(c: np.ndarray, n: int) -> tuple[complex, np.ndarray, np.ndarray]:
+    """``J = (u^2|u)`` and modes ``0..n-1`` of ``u^2`` and ``Pi(|u|^2)``, ``1 <= n <= 2M-1``.
 
     ``c`` holds the ``M`` coefficients of ``u``; the results keep its dtype
     (complex128, or wider in an all-80-bit test reference).  One inverse FFT
-    samples ``u`` on the grid of :func:`grid_values`, so no kept mode aliases;
-    one forward FFT of ``u^2`` and one real FFT of ``|u|^2`` follow.  Modes
-    of ``Pi(|u|^2)`` at or above ``M`` are 0.
+    samples ``u`` on the grid of :func:`_grid_values`, so no kept mode
+    aliases, and gives the ``J`` of :func:`j_and_flow` bit for bit; one real
+    FFT of ``|u|^2`` and one FFT of ``u^2`` follow.  Modes ``>= M`` of ``Pi(|u|^2)`` are 0.
     """
     m = len(c)
-    _check_product_length(m, n)
-    v = grid_values(c)
+    if not 1 <= n <= 2 * m - 1:
+        raise ValueError(f"need 1 <= n <= 2M-1 = {2 * m - 1}, got n={n}")
+    v = _grid_values(c)
     # a blowing-up state overflows here; callers check the result for inf/nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        abs2 = v.real**2
-        abs2 += v.imag**2
-        return _product_pass(v, abs2, m, n)
-
-
-def j_and_products(c: np.ndarray, n: int) -> tuple[complex, np.ndarray, np.ndarray]:
-    """``J = (u^2|u)`` with the products of :func:`quadratic_products`, from
-    one inverse FFT: ``J`` is the one :func:`j_and_flow` returns, bit for bit,
-    and the products equal ``quadratic_products(c, n)`` bit for bit."""
-    m = len(c)
-    _check_product_length(m, n)
-    v = grid_values(c)
     with np.errstate(over="ignore", invalid="ignore"):
         j, abs2 = _j_step(v)
         return (j, *_product_pass(v, abs2, m, n))
@@ -128,14 +107,14 @@ def j_and_flow(c: np.ndarray) -> tuple[complex, np.ndarray]:
     """``J = (u^2|u)`` and d/dt of the coefficient vector ``c``: the flow
     reads ``i du/dt = 2 J Pi(|u|^2) + conj(J) u^2``.
 
-    ``u`` is sampled as ``v`` on the grid of :func:`grid_values`
+    ``u`` is sampled as ``v`` on the grid of :func:`_grid_values`
     (``L >= 2M-1`` points), where ``J`` is the mean of ``|v|^2 v`` (summed
     pairwise, see :func:`_j_step`).  The kept modes ``0..M-1`` of
     ``-i (2 J |v|^2 + conj(J) v^2)`` then come from one forward FFT,
     alias-free on the same grid; ``Pi`` needs no extra step, since the
     negative modes of ``|u|^2`` are simply not kept.
     """
-    v = grid_values(c)
+    v = _grid_values(c)
     j, abs2 = _j_step(v)
     return j, _flow_pass(v, j, abs2, len(c))
 
@@ -283,12 +262,37 @@ def conserved(u: HardyCoefficients) -> ConservedTriple:
         weighted *= np.arange(u.trunc)
         weighted[0] = 0.0  # not 0 * inf, which made M of a huge state NaN
         mom = float(np.sum(weighted))
-        j = complex(_j_step(grid_values(u.coeffs))[0])
+        j = complex(_j_step(_grid_values(u.coeffs))[0])
         if not cmath.isfinite(j) and np.all(np.isfinite(u.coeffs)):
             # the grid product overflowed (inf * 0 gave NaN); J is cubic and
             # scaling by a power of two is exact, so J(u) = 2^(3e) J(2^-e u)
             e = int(np.frexp(np.abs(u.coeffs.view(np.float64)).max())[1])
-            small = complex(_j_step(grid_values(u.coeffs * 2.0**-e))[0])
+            small = complex(_j_step(_grid_values(u.coeffs * 2.0**-e))[0])
             j = complex(np.ldexp(small.real, 3 * e), np.ldexp(small.imag, 3 * e))
     # a product, not Python float **: a huge state gives E = inf, not OverflowError
     return ConservedTriple(Q=q, M=mom, E=0.5 * abs(j) * abs(j), J=j)
+
+
+# the equilibrium gate on |J| and the flow norm: criterion 10, `szego steady --verify`, is_steady
+STEADY_TOL = 1e-11
+
+
+def is_steady(u: HardyCoefficients, tol: float = STEADY_TOL) -> bool:
+    """Whether ``u`` is an equilibrium: ``|J(u)| < tol``.
+
+    Equilibria are exactly the zero-J states, so this is equivalent to a
+    vanishing flow derivative.  One inverse FFT samples ``u`` for ``J``, the
+    flow and the products; the flow takes its own forward FFT (as in
+    :func:`j_and_flow`) and the products theirs (as in
+    :func:`quadratic_products`): the flow norm must stay under
+    ``|J| (2 ||Pi|u|^2|| + ||u^2||)``, with a 10x slack for round-off.
+    """
+    m = u.trunc
+    v = _grid_values(u.coeffs)
+    j, abs2 = _j_step(v)
+    u2, abs2_modes = _product_pass(v.copy(), abs2, m, 2 * m - 1)
+    flow = _flow_pass(v, j, abs2, m)
+    norm_scale = 2.0 * np.linalg.norm(abs2_modes) + np.linalg.norm(u2)
+    if np.linalg.norm(flow) > abs(j) * norm_scale * 10.0 + 1e-13:
+        raise AssertionError("flow-derivative route disagrees with the J route")
+    return bool(abs(j) < tol)

@@ -49,28 +49,27 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-10
 
 
-def _symbol_matrix(u: HardyCoefficients, size: int | None, offset: int) -> np.ndarray:
-    """Contiguous ``[j, k] = u_hat(j + k + offset)``, zero outside ``0..trunc-1``; ``offset > -size``."""
-    size = u.trunc if size is None else size
-    if size < 2:
-        raise ValueError("matrix size must be >= 2")
-    full = np.zeros(2 * size - 1, dtype=np.complex128)
+def _symbol_matrix(u: HardyCoefficients, offset: int) -> np.ndarray:
+    """Contiguous ``M x M`` ``[j, k] = u_hat(j + k + offset)``, zero outside ``0..M-1``; ``offset > -M``."""
+    if u.trunc < 2:
+        raise ValueError(f"a matrix needs trunc >= 2, got {u.trunc}")
+    full = np.zeros(2 * u.trunc - 1, dtype=np.complex128)
     kept = u.coeffs[max(offset, 0) : offset + len(full)]
     full[max(-offset, 0) :][: len(kept)] = kept
-    return np.lib.stride_tricks.sliding_window_view(full, size).copy()
+    return np.lib.stride_tricks.sliding_window_view(full, u.trunc).copy()
 
 
-def hankel(u: HardyCoefficients, size: int | None = None) -> np.ndarray:
+def hankel(u: HardyCoefficients) -> np.ndarray:
     """Hankel matrix ``H[j,k] = u_hat(j+k)`` (zero beyond truncation).
 
     Realizes the antilinear map ``h -> Pi(u conj(h))`` as ``H @ conj(h)``.
     """
-    return _symbol_matrix(u, size, offset=0)
+    return _symbol_matrix(u, offset=0)
 
 
-def shifted_hankel(u: HardyCoefficients, size: int | None = None) -> np.ndarray:
+def shifted_hankel(u: HardyCoefficients) -> np.ndarray:
     """Shifted Hankel matrix ``K[j,k] = u_hat(j+k+1)`` (symbol ``S* u``)."""
-    return _symbol_matrix(u, size, offset=1)
+    return _symbol_matrix(u, offset=1)
 
 
 def sketched_hankel_pair(h: np.ndarray, width: int) -> tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]:
@@ -116,10 +115,9 @@ def sketched_hankel_pair(h: np.ndarray, width: int) -> tuple[tuple[np.ndarray, f
     return (np.linalg.svdvals(b), r_h), (np.linalg.svdvals(b[:, 1:]), r_k)
 
 
-def a_u(u: HardyCoefficients, size: int | None = None) -> np.ndarray:
+def a_u(u: HardyCoefficients) -> np.ndarray:
     """Hermitian matrix of ``T_u + T_conj(u)``: ``A[j,k] = u_hat(j-k) + conj(u_hat(k-j))``."""
-    size = u.trunc if size is None else size
-    t_u = _symbol_matrix(u, size, offset=1 - size)[:, ::-1]  # T[j, k] = u_hat(j - k)
+    t_u = _symbol_matrix(u, offset=1 - u.trunc)[:, ::-1]  # T[j, k] = u_hat(j - k)
     return t_u + t_u.conj().T
 
 
@@ -274,7 +272,7 @@ def _spectral_report(u: HardyCoefficients, tol: float) -> tuple[SpectralReport, 
 
 def lax_symbol(u: HardyCoefficients) -> HardyCoefficients:
     """The evolved symbol ``X(u) = 2 Pi(|u|^2) + u^2`` (truncated like ``u``)."""
-    u2, abs2 = quadratic_products(u.coeffs, u.trunc)
+    _, u2, abs2 = quadratic_products(u.coeffs, u.trunc)
     return HardyCoefficients(2.0 * abs2 + u2)
 
 
@@ -295,12 +293,12 @@ def verify_lax(u: HardyCoefficients, block: int | None = None) -> tuple[float, f
     if block is not None and not 1 <= block <= m:
         raise ValueError(f"need 1 <= block <= trunc = {m}, got {block}")
     x = lax_symbol(u)
-    h = hankel(u, m)
-    k = shifted_hankel(u, m)
-    a = a_u(u, m)
+    h = hankel(u)
+    k = shifted_hankel(u)
+    a = a_u(u)
     uvec = u.coeffs
-    kx = shifted_hankel(x, m)
-    hx = hankel(x, m)
+    kx = shifted_hankel(x)
+    hx = hankel(x)
     res_k = kx - (a @ k + k @ a.T)
     res_h = hx - (a @ h + h @ a.T - np.outer(uvec, uvec))
     if block is not None:
@@ -365,7 +363,7 @@ def verify_au_minus_d(u: HardyCoefficients, varpi: float, tol: float = 1e-8) -> 
     n_sigma = top.dim_F
     u_sigma = report.projections[sigma].padded(m)
 
-    a = a_u(u, m)
+    a = a_u(u)
     aud = a - np.diag(np.arange(m, dtype=np.complex128))
     lam = 0.5 * (varpi + n_sigma)
     nrm = np.linalg.norm(u_sigma)
@@ -377,7 +375,7 @@ def verify_au_minus_d(u: HardyCoefficients, varpi: float, tol: float = 1e-8) -> 
         )
 
     # K_u(u_sigma) against z^{n_sigma - 1} u_sigma
-    kmat = shifted_hankel(u, m)
+    kmat = shifted_hankel(u)
     ku = kmat @ np.conj(u_sigma)
     shifted = np.zeros(m, dtype=np.complex128)
     shifted[n_sigma - 1 :] = u_sigma[: m - (n_sigma - 1)]

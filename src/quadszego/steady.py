@@ -23,9 +23,10 @@ Near the endpoint the zero-J condition is ill-conditioned in the constants,
 so they are written out once at 40 digits and :func:`build_steady`, the one
 coefficient builder, takes each power of ``P`` to a few ulps at any
 truncation.  ``J`` and the flow stay double precision and come from
-:func:`~quadszego.hardy.j_and_flow`, the one place ``J`` is computed: a
-coefficient rounded to double carries an unstructured error of size
-``eps ||u||``, which moves ``J`` by round-off only.
+:func:`~quadszego.hardy.j_and_flow`: a coefficient rounded to double carries
+an unstructured error of size ``eps ||u||``, which moves ``J`` by round-off
+only.  The check :func:`is_steady` and its gate ``STEADY_TOL`` live in
+:mod:`quadszego.hardy`, which alone samples ``u``, and are re-exported here.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from decimal import Context, Decimal, localcontext
 import numpy as np
 
 from .errors import PoleOutsideDisc
-from .hardy import HardyCoefficients, _flow_pass, _j_step, _product_pass, grid_values, j_and_flow
+from .hardy import STEADY_TOL, HardyCoefficients, is_steady, j_and_flow
 
 __all__ = [
     "SteadyV3Params",
@@ -52,8 +53,6 @@ __all__ = [
     "STEADY_TOL",
 ]
 
-# the equilibrium gate on |J| and the flow norm: criterion 10, `szego steady --verify`, is_steady
-STEADY_TOL = 1e-11
 # suggested_trunc's target for the neglected tail of |J|, and its largest truncation
 _TRUNC_TAIL, _TRUNC_CAP = 3e-14, 6_000_000
 
@@ -206,29 +205,10 @@ def steadiness_measure(
     return SteadinessMeasure(abs_j=float(abs(j)), rhs_norm=float(np.linalg.norm(flow)), trunc=tr)
 
 
-def is_steady(u: HardyCoefficients, tol: float = STEADY_TOL) -> bool:
-    """Whether ``u`` is an equilibrium: ``|J(u)| < tol``.
-
-    Equilibria are exactly the zero-J states, so this is equivalent to a
-    vanishing flow derivative.  One inverse FFT samples ``u`` for ``J``, the
-    flow and the products; the flow takes its own forward FFT (as in
-    :func:`~quadszego.hardy.j_and_flow`) and the products theirs (as in
-    :func:`~quadszego.hardy.quadratic_products`): the flow norm must stay
-    under ``|J| (2 ||Pi|u|^2|| + ||u^2||)``, with a 10x slack for round-off.
-    """
-    m = u.trunc
-    v = grid_values(u.coeffs)
-    j, abs2 = _j_step(v)
-    u2, abs2_modes = _product_pass(v.copy(), abs2, m, 2 * m - 1)
-    flow = _flow_pass(v, j, abs2, m)
-    norm_scale = 2.0 * np.linalg.norm(abs2_modes) + np.linalg.norm(u2)
-    if np.linalg.norm(flow) > abs(j) * norm_scale * 10.0 + 1e-13:
-        raise AssertionError("flow-derivative route disagrees with the J route")
-    return bool(abs(j) < tol)
-
-
 def explicit_example(trunc: int = 512) -> HardyCoefficients:
     """The explicit equilibrium ``-sqrt(3)/3 + (4/(3 sqrt(11))) z / (1 - (5/sqrt(33)) z)``."""
+    if trunc < 1:
+        raise ValueError(f"trunc must be >= 1, got {trunc}")
     out = np.zeros(trunc, dtype=np.complex128)
     out[0] = -math.sqrt(3.0) / 3.0
     pole = 5.0 / math.sqrt(33.0)

@@ -250,7 +250,9 @@ def v3_integrate(
 
 
 def embed(s: V3State, trunc: int) -> HardyCoefficients:
-    """Fourier representation: ``u_hat(0) = b``, ``u_hat(k) = c p^(k-1)``."""
+    """Fourier representation: ``u_hat(0) = b``, ``u_hat(k) = c p^(k-1)``, ``trunc >= 1``."""
+    if trunc < 1:
+        raise ValueError(f"trunc must be >= 1, got {trunc}")
     out = np.zeros(trunc, dtype=np.complex128)
     out[0] = s.b
     out[1:] = s.c * np.asarray(s.p, dtype=np.complex128) ** np.arange(trunc - 1)

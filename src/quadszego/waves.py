@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeasureMismatch, TruncationTooSmall
-from .hardy import HardyCoefficients, apply_D, j_and_products, quadratic_products
+from .hardy import HardyCoefficients, apply_D, quadratic_products
 
 __all__ = [
     "TravelingWaveSpec",
@@ -119,9 +119,9 @@ def residual_traveling(v0: HardyCoefficients, omega: float, c: float) -> float:
     """L2 residual of the traveling-wave equation for initial data ``v0``:
     ``omega v0 + c D v0 - 2 J0 Pi(|v0|^2) - conj(J0) v0^2`` with ``J0 = J(v0)``,
     evaluated at full padded length; ``J0`` and the products come from one
-    inverse FFT (:func:`~quadszego.hardy.j_and_products`)."""
+    inverse FFT (:func:`~quadszego.hardy.quadratic_products`)."""
     m = v0.trunc
-    j0, u2, abs2 = j_and_products(v0.coeffs, 2 * m - 1)
+    j0, u2, abs2 = quadratic_products(v0.coeffs, 2 * m - 1)
     res = -(2.0 * j0 * abs2 + np.conj(j0) * u2)
     res[:m] += omega * v0.coeffs + c * apply_D(v0).coeffs
     return float(np.linalg.norm(res))
@@ -131,7 +131,7 @@ def residual_profile(u: HardyCoefficients, varpi: float) -> float:
     """L2 residual of the normalized profile equation
     ``varpi u + D u = 2 Pi(|u|^2) + u^2``."""
     m = u.trunc
-    u2, abs2 = quadratic_products(u.coeffs, 2 * m - 1)
+    _, u2, abs2 = quadratic_products(u.coeffs, 2 * m - 1)
     res = -(2.0 * abs2 + u2)
     res[:m] += varpi * u.coeffs + apply_D(u).coeffs
     return float(np.linalg.norm(res))
@@ -148,18 +148,23 @@ def standing_wave_arc(theta_measure: float, arcs, trunc: int) -> HardyCoefficien
     """Standing-wave profile ``Pi(indicator(B)) / (1 + 2 theta)`` for a union of arcs.
 
     ``arcs`` is a list of angle intervals ``(a0, a1)`` in radians with
-    ``0 <= a0 < a1 <= 2 pi``; their total normalized measure must equal
-    ``theta_measure`` within 1e-12 (:class:`MeasureMismatch` otherwise).
-    Coefficients are the exact closed forms
+    ``0 <= a0 < a1 <= 2 pi``, disjoint but for shared endpoints; their total
+    normalized measure must equal ``theta_measure`` within 1e-12
+    (:class:`MeasureMismatch` otherwise).  Coefficients are the exact closed forms
     ``u_hat(0) = theta / (1 + 2 theta)`` and
     ``u_hat(k) = sum_arcs (e^{-i k a0} - e^{-i k a1}) / (2 pi i k (1 + 2 theta))``.
     """
     if not 0 < theta_measure < 1:
         raise ValueError("theta_measure must lie in (0, 1)")
-    arcs = [(float(a0), float(a1)) for a0, a1 in arcs]
+    if trunc < 1:
+        raise ValueError(f"trunc must be >= 1, got {trunc}")
+    arcs = sorted((float(a0), float(a1)) for a0, a1 in arcs)
     for a0, a1 in arcs:
         if not (0 <= a0 < a1 <= 2 * np.pi + 1e-15):
             raise ValueError(f"arc ({a0}, {a1}) is not an increasing interval in [0, 2 pi]")
+    for (_, end), (start, _) in zip(arcs, arcs[1:]):
+        if start < end:
+            raise ValueError(f"arcs overlap: one starts at {start} before the previous one ends at {end}")
     total = sum(a1 - a0 for a0, a1 in arcs) / (2 * np.pi)
     if abs(total - theta_measure) > 1e-12:
         raise MeasureMismatch(f"arc measure {total!r} does not match theta {theta_measure!r}")
@@ -183,5 +188,5 @@ def verify_standing(u: HardyCoefficients, modes_checked: int) -> float:
     """
     if not 1 <= modes_checked <= u.trunc / 4:
         raise ValueError(f"modes_checked must lie in [1, trunc/4], got {modes_checked}")
-    u2, abs2 = quadratic_products(u.coeffs, modes_checked)
+    _, u2, abs2 = quadratic_products(u.coeffs, modes_checked)
     return float(np.max(np.abs(u.coeffs[:modes_checked] - 2.0 * abs2 - u2)))

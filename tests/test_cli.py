@@ -197,6 +197,12 @@ def test_compose_check_default_datum(tmp_path):
     assert json.loads(out.read_text())["gap"] < 1e-6
 
 
+def test_compose_check_zero_trunc_is_usage_error(capsys):
+    # the default datum's embed died with IndexError, a traceback, not exit 2
+    assert main(["compose-check", "--trunc", "0"]) == 2
+    assert "trunc must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_steady_verify_exit_codes():
     assert main(["steady", "--theta", "0.5236", "--verify"]) == 0
 

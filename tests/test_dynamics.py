@@ -38,7 +38,7 @@ def test_rhs_matches_quadratic_products(m):
     rng = np.random.default_rng(m)
     c = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * 0.99 ** np.arange(m)
     c /= np.linalg.norm(c)
-    u2, abs2 = quadratic_products(c, m)
+    _, u2, abs2 = quadratic_products(c, m)
     j = np.sum(u2 * np.conj(c))  # J = (u^2|u) summed over coefficients
     expected = -1j * (2.0 * j * abs2 + np.conj(j) * u2)
     assert np.max(np.abs(rhs(HardyCoefficients(c)).coeffs - expected)) < 1e-14

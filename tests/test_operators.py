@@ -53,8 +53,9 @@ def test_shifted_hankel_kills_constants():
 
 
 def test_matrix_size_rejected_below_two():
-    with pytest.raises(ValueError):
-        hankel(HardyCoefficients([1.0]), size=1)
+    for build in (hankel, shifted_hankel, a_u):
+        with pytest.raises(ValueError):
+            build(HardyCoefficients([1.0]))
 
 
 def test_hankel_structure_random():
@@ -74,14 +75,17 @@ def test_hankel_structure_random():
 @pytest.mark.parametrize("offset", [0, 1])
 def test_symbol_matrix_matches_index_gather(size, offset):
     # the window-view build against the gather u_hat(j + k + offset), zero
-    # past trunc, for sizes below, at and above trunc = 12
+    # past trunc, for corners below, at and above trunc = 12: a corner of the
+    # trunc-12 matrix, or the matrix of the state zero-padded to the size
     u = random_state(np.random.default_rng(size), m=12)
     full = np.zeros(2 * size + offset, dtype=complex)
     full[: min(len(full), 12)] = u.coeffs[: len(full)]
     j = np.arange(size)
     expected = full[j[:, None] + j[None, :] + offset]
-    mat = (hankel, shifted_hankel)[offset](u, size)
-    assert np.array_equal(mat, expected) and mat.flags.c_contiguous
+    build = (hankel, shifted_hankel)[offset]
+    mat = build(u.truncated(max(size, 12)))
+    assert mat.flags.c_contiguous
+    assert np.array_equal(mat[:size, :size], expected)
 
 
 def test_a_u_hermitian_by_construction():
@@ -92,7 +96,8 @@ def test_a_u_hermitian_by_construction():
     for size in (2, 13, u.trunc, u.trunc + 7):  # below, at and above the truncation
         col = u.padded(max(size, u.trunc))[:size]
         t = scipy.linalg.toeplitz(col, np.zeros(size, dtype=np.complex128))
-        assert a_u(u, size).tobytes() == (t + t.conj().T).tobytes()
+        # A's corner reads only u_hat(0..size-1), so it is A of u.truncated(size)
+        assert a_u(u.truncated(size)).tobytes() == (t + t.conj().T).tobytes()
 
 
 # ---------------------------------------------------------------- squared operators
@@ -196,7 +201,7 @@ def test_sketched_singular_values_rejects_bad_width():
             sketched_hankel_pair(h, width)
     # a corner of a longer state is not H with K as its shifted columns
     with pytest.raises(ValueError, match="truncated"):
-        sketched_hankel_pair(hankel(geometric(1.0, 0.5, 16), 8), 3)
+        sketched_hankel_pair(hankel(geometric(1.0, 0.5, 16))[:8, :8], 3)
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])

@@ -3,7 +3,6 @@
 import mpmath
 import numpy as np
 import pytest
-import scipy.fft
 
 from quadszego.cli import main
 from quadszego.dynamics import rhs
@@ -120,7 +119,7 @@ def _measure_all_80_bit(params: SteadyV3Params, trunc: int) -> tuple[float, floa
     coeffs = np.zeros(trunc, dtype=np.complex256)
     coeffs[0] = front * mean
     coeffs[1:] = front * c * rot * (p * rot) ** np.arange(trunc - 1, dtype=np.float128)
-    u2, abs2 = quadratic_products(coeffs, trunc)
+    _, u2, abs2 = quadratic_products(coeffs, trunc)
     j = np.sum(u2 * np.conj(coeffs))
     flow = -1j * (2.0 * j * abs2 + np.conj(j) * u2)
 
@@ -216,26 +215,23 @@ def test_is_steady_monomial_and_zero():
     assert is_steady(HardyCoefficients(np.zeros(4)))
 
 
-def test_is_steady_samples_the_state_once(monkeypatch):
+def test_is_steady_samples_the_state_once(fft_counts):
     # J, the flow and the products come from one inverse FFT; the flow and
     # the products keep their own forward transforms, so the consistency
     # check still compares two routes
-    counts = {"ifft": 0, "fft": 0, "rfft": 0}
-    for name in counts:
-
-        def counting(*args, _name=name, _original=getattr(scipy.fft, name), **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, name, counting)
     assert is_steady(explicit_example(512), tol=1e-13)
-    assert counts == {"ifft": 1, "fft": 2, "rfft": 1}
+    assert fft_counts == {"ifft": 1, "fft": 2, "rfft": 1}
 
 
 @pytest.mark.parametrize("trunc", [0, -3])
 def test_nonpositive_trunc_rejected_before_any_work(trunc):
     params = SteadyV3Params(scale=1.0, a=0.0, b_angle=0.0, theta=0.5)
-    for call in (lambda: build_steady(params, trunc), lambda: steadiness_measure(params, trunc=trunc, extended=True)):
+    calls = (
+        lambda: build_steady(params, trunc),
+        lambda: steadiness_measure(params, trunc=trunc, extended=True),
+        lambda: explicit_example(trunc),  # trunc 0 raised IndexError here
+    )
+    for call in calls:
         with pytest.raises(ValueError, match="trunc must be >= 1"):
             call()
 

@@ -96,6 +96,13 @@ def test_derived_matches_embedded_conserved():
         assert d.J == pytest.approx(c.J, rel=1e-9, abs=1e-11)
 
 
+@pytest.mark.parametrize("trunc", [0, -3])
+def test_embed_rejects_nonpositive_trunc(trunc):
+    # trunc 0 raised IndexError from out[0]
+    with pytest.raises(ValueError, match=f"trunc must be >= 1, got {trunc}"):
+        embed(V3State(b=0.5, c=1.0, p=0.3), trunc)
+
+
 def test_derived_of_a_huge_state_has_infinite_ecal():
     # Python float ** raised OverflowError here
     d = derived(V3State(b=1e60, c=0.5, p=0.3))

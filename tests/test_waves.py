@@ -189,6 +189,30 @@ def test_full_circle_rejected():
         standing_wave_arc(1.0, [(0.0, 2 * np.pi)], 64)
 
 
+def test_overlapping_arcs_rejected():
+    # two copies of [0, pi/4] pass the measure check at theta = 0.25 but sum
+    # to 2 Pi(1_B) / (1 + 2 theta), no indicator: verify_standing read 0.111
+    with pytest.raises(ValueError, match="overlap"):
+        standing_wave_arc(0.25, [(0.0, np.pi / 4), (0.0, np.pi / 4)], 4096)
+    with pytest.raises(ValueError, match="overlap"):  # unsorted, partly overlapping
+        standing_wave_arc(0.25, [(0.1, np.pi / 4 + 0.1), (0.0, np.pi / 4)], 64)
+
+
+def test_adjacent_arcs_match_their_union():
+    # arcs sharing an endpoint stay valid, in either order, and build the
+    # indicator of their union up to round-off
+    union = standing_wave_arc(0.25, [(0.0, np.pi / 2)], 64)
+    for arcs in ([(0.0, np.pi / 4), (np.pi / 4, np.pi / 2)], [(np.pi / 4, np.pi / 2), (0.0, np.pi / 4)]):
+        assert np.allclose(standing_wave_arc(0.25, arcs, 64).coeffs, union.coeffs, atol=1e-15)
+
+
+@pytest.mark.parametrize("trunc", [0, -3])
+def test_standing_wave_rejects_nonpositive_trunc(trunc):
+    # trunc 0 raised IndexError from out[0]
+    with pytest.raises(ValueError, match=f"trunc must be >= 1, got {trunc}"):
+        standing_wave_arc(0.25, [(0.0, np.pi / 2)], trunc)
+
+
 def test_verify_standing_residual_and_decay():
     theta = 0.25
     arcs = [(0.0, 2 * np.pi * theta)]
