@@ -221,8 +221,8 @@ def sample_dop853(fun, y0: np.ndarray, h: float, n: int, record, keep=None, fail
 def integrate(u0: HardyCoefficients, cfg: SimulationConfig) -> TrajectoryRecord:
     """Adaptive trajectory from ``u0`` with monitors, sampled every ``cfg.dt``
     by :func:`sample_dop853`; each right-hand side is one
-    :func:`~quadszego.hardy.j_and_flow`, an FFT pair of length
-    ``next_fast_len(2 trunc - 1)``.
+    :func:`~quadszego.hardy.j_and_flow`: one inverse and one forward FFT on
+    the smallest 2,3,5,7,11-smooth grid of at least ``2 trunc - 1`` points.
 
     Snapshots (state and invariants) are taken every ``cfg.monitor_stride``
     samples and at the last; their K^2 spectra are left to the record, which

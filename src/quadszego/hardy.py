@@ -16,15 +16,19 @@ Conventions
   ``J`` with the flow.  The sample grid, the J step (the one place
   ``J = (u^2|u)`` is computed, so all callers agree bit for bit) and the FFT
   passes are private here; :func:`conserved` and :func:`is_steady` use them.
+  The samples come in a private order (a blocked layout on long grids, see
+  :func:`_grid_values`) that nothing outside this module sees.  The
+  transforms are ``numpy.fft``'s; the package imports no scipy.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "HardyCoefficients",
@@ -40,21 +44,117 @@ __all__ = [
 ]
 
 
+# Grid length from which the samples come in the blocked layout of Bailey's
+# four-step FFT; shorter grids take one 1-D transform each way.  Measured with
+# j_and_flow on 2 vCPUs: blocked ran 10-36 % faster at every length from 2^17
+# to 4 939 200, and 1-D won or tied at some lengths below (BENCH_numpy_fft.json).
+_BLOCKED_FROM = 1 << 17
+
+
+@functools.lru_cache(maxsize=1024)
+def _next_fast_len(n: int) -> int:
+    """The smallest 2,3,5,7,11-smooth integer ``>= n >= 1``, which equals
+    ``scipy.fft.next_fast_len(n)``: pocketfft's search for a fast complex
+    length.  Cached, since every right-hand side asks for it."""
+    if n <= 12:
+        return n
+    best = 2 * n
+    f11 = 1
+    while f11 < best:
+        f7 = f11
+        while f7 < best:
+            f5 = f7
+            while f5 < best:
+                # walk x = f5 2^a 3^b across n, keeping the least x >= n
+                x = f5
+                while x < n:
+                    x *= 2
+                while x != n:
+                    if x < n:
+                        x *= 3
+                        continue
+                    best = min(best, x)
+                    if x & 1:
+                        break
+                    x >>= 1
+                else:
+                    return n
+                f5 *= 5
+            f7 *= 7
+        f11 *= 11
+    return best
+
+
+@functools.lru_cache(maxsize=1024)
+def _blocks(length: int) -> tuple[int, int]:
+    """``(L1, L2)`` with ``L1 L2 = length`` and ``L1`` the divisor nearest ``sqrt(length)``."""
+    divisors = [d for k in range(1, math.isqrt(length) + 1) if length % k == 0 for d in (k, length // k)]
+    near = min(divisors, key=lambda d: abs(math.log(d * d / length)))
+    return near, length // near
+
+
+def _twiddle(a: np.ndarray, sign: int) -> None:
+    """Multiply ``a[n1, k2]`` by ``exp(sign 2 pi i n1 k2 / L)`` in place, ``L = a.size``.
+
+    With ``k2 = s h + l`` the phase splits into ``n1 s h`` and ``n1 l``, so
+    two tables of about ``L^(3/4)`` entries, each phase reduced mod ``L``
+    exactly in integers, do it as two broadcast multiplies; both are in
+    ``a``'s precision (``2 pi`` too, from ``arctan``).
+    """
+    l1, l2 = a.shape
+    s = _blocks(l2)[0]
+    step = sign * 8 * np.arctan(np.ones((), a.real.dtype)) / a.size
+    n1 = np.arange(l1)[:, None]
+    hi, lo = (np.exp(1j * (step * (n1 * k % a.size))).astype(a.dtype, copy=False)
+              for k in (s * np.arange(l2 // s), np.arange(s)))
+    split = a.reshape(l1, l2 // s, s)
+    split *= hi[:, :, None]
+    split *= lo[:, None, :]
+
+
 def _grid_values(c: np.ndarray) -> np.ndarray:
     """``u`` at ``exp(2 pi i j / L)``, ``j = 0..L-1``, from its ``M``
-    coefficients ``c``, with ``L = next_fast_len(2M-1)``; keeps ``c``'s dtype.
+    coefficients ``c``, with ``L = _next_fast_len(2M-1)``; keeps ``c``'s
+    dtype.  The samples come in a private order, which only pointwise
+    products, grid sums and :func:`_modes` read.
 
     The products the flow needs, ``u^2``, ``|u|^2`` and ``u^2 conj(u)``,
     have frequencies in ``-(M-1)..2M-2``.  For ``k`` in ``0..M-1`` both
     ``k - L`` and ``k + L`` lie outside that range when ``L >= 2M-1``, so a
     forward FFT on this grid gives their modes ``0..M-1`` without aliasing;
     in particular the grid mean of ``u^2 conj(u)`` is exactly ``J = (u^2|u)``.
+
+    Below ``_BLOCKED_FROM`` points one 1-D inverse FFT gives ``j`` in natural
+    order.  From there on the four-step FFT (D. H. Bailey, J. Supercomputing
+    4, 1990) takes two batched passes of about ``sqrt(L)`` points: with
+    ``L = L1 L2`` and the modes as ``L1 x L2`` rows ``k = L2 k1 + k2``, an
+    inverse FFT down each column, the twiddle ``exp(2 pi i n1 k2 / L)`` and
+    an inverse FFT along each row leave ``j = n1 + L1 n2`` at row ``n1``,
+    column ``n2``; no pass transposes.
     """
     m = len(c)
-    # padded here: scipy.fft pads a short input more slowly than zeros() does
-    v = np.zeros(scipy.fft.next_fast_len(2 * m - 1), dtype=np.result_type(c.dtype, np.complex64))
+    v = np.zeros(_next_fast_len(2 * m - 1), dtype=np.result_type(c.dtype, np.complex64))
     v[:m] = c
-    return scipy.fft.ifft(v, norm="forward", overwrite_x=True)
+    if len(v) < _BLOCKED_FROM:
+        return np.fft.ifft(v, norm="forward", out=v)
+    a = v.reshape(_blocks(len(v)))
+    np.fft.ifft(a, axis=0, norm="forward", out=a)
+    _twiddle(a, 1)
+    np.fft.ifft(a, axis=1, norm="forward", out=a)
+    return v
+
+
+def _modes(w: np.ndarray, n: int) -> np.ndarray:
+    """Modes ``0..n-1``, in natural order, of samples ``w`` laid out as
+    :func:`_grid_values` lays them out; overwrites ``w``.  The blocked
+    layout runs the inverse's steps mirrored: rows, conjugate twiddle, columns."""
+    if len(w) < _BLOCKED_FROM:
+        return np.fft.fft(w, norm="forward", out=w)[:n]
+    a = w.reshape(_blocks(len(w)))
+    np.fft.fft(a, axis=1, norm="forward", out=a)
+    _twiddle(a, -1)
+    np.fft.fft(a, axis=0, norm="forward", out=a)
+    return w[:n]
 
 
 def _j_step(v: np.ndarray) -> tuple[complex, np.ndarray]:
@@ -74,14 +174,16 @@ def _j_step(v: np.ndarray) -> tuple[complex, np.ndarray]:
 
 def _product_pass(v: np.ndarray, abs2: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Modes ``0..n-1`` of ``u^2`` and ``Pi(|u|^2)`` from the samples ``v``
-    and ``|v|^2``: one real FFT of ``|v|^2`` and one FFT of ``v^2``, which
-    squares ``v`` in place."""
+    and ``|v|^2``: one forward transform of ``|v|^2`` (a real FFT below
+    ``_BLOCKED_FROM`` points) and one of ``v^2``, which squares ``v`` in place."""
     keep = min(n, m)
     pi_abs2 = np.zeros(n, dtype=v.dtype)
-    pi_abs2[:keep] = scipy.fft.rfft(abs2, norm="forward")[:keep]
+    if len(v) < _BLOCKED_FROM:
+        pi_abs2[:keep] = np.fft.rfft(abs2, norm="forward")[:keep]
+    else:
+        pi_abs2[:keep] = _modes(abs2.astype(v.dtype), keep)
     v *= v
-    u2 = scipy.fft.fft(v, norm="forward", overwrite_x=True)[:n]
-    return u2, pi_abs2
+    return _modes(v, n), pi_abs2
 
 
 def quadratic_products(c: np.ndarray, n: int) -> tuple[complex, np.ndarray, np.ndarray]:
@@ -90,8 +192,8 @@ def quadratic_products(c: np.ndarray, n: int) -> tuple[complex, np.ndarray, np.n
     ``c`` holds the ``M`` coefficients of ``u``; the results keep its dtype
     (complex128, or wider in an all-80-bit test reference).  One inverse FFT
     samples ``u`` on the grid of :func:`_grid_values`, so no kept mode
-    aliases, and gives the ``J`` of :func:`j_and_flow` bit for bit; one real
-    FFT of ``|u|^2`` and one FFT of ``u^2`` follow.  Modes ``>= M`` of ``Pi(|u|^2)`` are 0.
+    aliases, and gives the ``J`` of :func:`j_and_flow` bit for bit; one
+    forward transform of ``|u|^2`` and one of ``u^2`` follow.  Modes ``>= M`` of ``Pi(|u|^2)`` are 0.
     """
     m = len(c)
     if not 1 <= n <= 2 * m - 1:
@@ -110,7 +212,7 @@ def j_and_flow(c: np.ndarray) -> tuple[complex, np.ndarray]:
     ``u`` is sampled as ``v`` on the grid of :func:`_grid_values`
     (``L >= 2M-1`` points), where ``J`` is the mean of ``|v|^2 v`` (summed
     pairwise, see :func:`_j_step`).  The kept modes ``0..M-1`` of
-    ``-i (2 J |v|^2 + conj(J) v^2)`` then come from one forward FFT,
+    ``-i (2 J |v|^2 + conj(J) v^2)`` then come from one forward transform,
     alias-free on the same grid; ``Pi`` needs no extra step, since the
     negative modes of ``|u|^2`` are simply not kept.
     """
@@ -124,7 +226,7 @@ def _flow_pass(v: np.ndarray, j: complex, abs2: np.ndarray, m: int) -> np.ndarra
     v *= v
     v *= -1j * np.conj(j)
     v += (-2j * j) * abs2
-    return scipy.fft.fft(v, norm="forward", overwrite_x=True)[:m]
+    return _modes(v, m)
 
 
 @dataclass(frozen=True)

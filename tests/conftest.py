@@ -1,18 +1,18 @@
 """Shared fixtures."""
 
+import numpy as np
 import pytest
-import scipy.fft
 
 
 @pytest.fixture
 def fft_counts(monkeypatch) -> dict:
-    """Count the calls of each ``scipy.fft`` transform the kernel uses."""
+    """Count the calls of each ``numpy.fft`` transform the kernel uses."""
     counts = {"ifft": 0, "fft": 0, "rfft": 0}
     for name in counts:
 
-        def counting(*args, _name=name, _original=getattr(scipy.fft, name), **kwargs):
+        def counting(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, name, counting)
+        monkeypatch.setattr(np.fft, name, counting)
     return counts

@@ -8,10 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import quadszego
+from quadszego import hardy
 from quadszego.hardy import (
     HardyCoefficients,
+    _next_fast_len,
     apply_D,
     conserved,
     inner_product,
@@ -172,6 +175,41 @@ def test_every_j_route_agrees_bit_for_bit(m):
     assert conserved(HardyCoefficients(c)).J == complex(j)
     for n in (m, 2 * m - 1):
         assert quadratic_products(c, n)[0] == j
+
+
+# ---------------------------------------------------------------- blocked layout
+
+
+@pytest.fixture
+def blocked(monkeypatch):
+    """Every grid, however short, takes the four-step FFT's blocked layout."""
+    monkeypatch.setattr(hardy, "_BLOCKED_FROM", 1)
+
+
+def test_blocked_layout_runs_two_passes_each_way(blocked, fft_counts):
+    quadratic_products(random_state(np.random.default_rng(4), m=300).coeffs, 599)
+    # samples: 2 inverse passes; |u|^2 and u^2: 2 forward passes each, no real FFT
+    assert fft_counts == {"ifft": 2, "fft": 4, "rfft": 0}
+
+
+@pytest.mark.parametrize("m", [2, 3, 257, 512, 1000])
+def test_blocked_products_match_direct_convolution(blocked, m):
+    test_quadratic_products_match_direct_convolution(m)
+
+
+@pytest.mark.parametrize("m", [2, 3, 256, 1000])
+def test_blocked_j_routes_agree_bit_for_bit(blocked, m):
+    test_every_j_route_agrees_bit_for_bit(m)
+
+
+@pytest.mark.skipif(not hasattr(np, "float128"), reason="numpy has no float128 here")
+def test_blocked_products_keep_extended_precision(blocked):
+    test_quadratic_products_keep_extended_precision()
+
+
+def test_next_fast_len_matches_scipy():
+    for n in [*range(1, 20_000), 2 * 2_464_553 - 1, 2 * 6_000_000 - 1]:
+        assert _next_fast_len(n) == scipy.fft.next_fast_len(n), n
 
 
 def test_residual_traveling_reads_j_of_j_and_flow():
@@ -364,21 +402,22 @@ def test_json_rejects_malformed_payload(payload, message):
         HardyCoefficients.from_json(payload)
 
 
-def test_import_loads_no_heavy_scipy_subpackage():
-    # scipy.signal (with scipy.stats) and scipy.integrate (with scipy.optimize,
-    # .sparse and .linalg) would dominate the start-up of every CLI run; the
-    # integrator is the package's own DOP853, so integrating loads none either
+def test_import_loads_no_scipy():
+    # scipy.fft alone took most of the package's import time; the kernel
+    # transforms with numpy.fft, in the blocked layout too, and the
+    # integrator is the package's own DOP853, so no run loads any of scipy
     src = str(Path(quadszego.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    heavy = ["scipy.signal", "scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse"]
     code = (
         "import sys, quadszego, quadszego.cli\n"
         "from quadszego.dynamics import SimulationConfig, integrate\n"
-        "from quadszego.hardy import HardyCoefficients\n"
+        "from quadszego.hardy import _BLOCKED_FROM, HardyCoefficients\n"
+        "from quadszego.steady import SteadyV3Params, steadiness_measure\n"
         "from quadszego.v3 import V3State, v3_integrate\n"
         "integrate(HardyCoefficients([1.0, 0.5, 0.25]), SimulationConfig(dt=0.01, t_final=0.05, trunc=8, monitor_stride=2))\n"
         "v3_integrate(V3State(b=0.3, c=1.0, p=0.4), 0.01, 0.05)\n"
-        f"print([m for m in {heavy!r} if m in sys.modules])"
+        "steadiness_measure(SteadyV3Params(1.0, 0.0, 0.0, 0.9), trunc=_BLOCKED_FROM // 2 + 1)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
