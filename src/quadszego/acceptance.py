@@ -23,7 +23,7 @@ import numpy as np
 from .compose import compose_zN, verify_flow_commutation
 from .dynamics import SimulationConfig, integrate, rank_conservation_check
 from .hardy import HardyCoefficients, conserved
-from .operators import verify_au_minus_d, verify_lax, verify_profile_identities
+from .operators import verify_au_minus_d, verify_lax
 from .steady import STEADY_TOL, SteadyV3Params, explicit_example, steadiness_measure
 from .v3 import V3State, embed, evolx_residual, instability_experiment, v3_integrate
 from .waves import TravelingWaveSpec, build_profile, residual_traveling, standing_wave_arc, verify_standing
@@ -247,7 +247,8 @@ def criterion_5_integrability_signatures(quick: bool = False):
 
 @_criterion("6 profile eigenstructure")
 def criterion_6_profile_eigenstructure(quick: bool = False):
-    """Eigenvector identities of the normalized multi-pole profiles."""
+    """Eigenvector and scalar identities of the normalized multi-pole
+    profiles, one :func:`verify_au_minus_d` per profile."""
     alpha = 0.4
     details = {}
     passed = True
@@ -258,8 +259,7 @@ def criterion_6_profile_eigenstructure(quick: bool = False):
         u = HardyCoefficients(arr)
         varpi = n * (3.0 - alpha**2) / (1.0 - alpha**2)
         rep = verify_au_minus_d(u, varpi, tol=1e-8)
-        ident = verify_profile_identities(u, varpi, n)
-        umvm_res = max((e["residual"] for e in ident["umvm"]), default=np.inf)
+        umvm_res = max((e["residual"] for e in rep.umvm), default=np.inf)
         ok = (
             rep.eigen_residual < 1e-10
             and rep.n_sigma == n
@@ -267,7 +267,7 @@ def criterion_6_profile_eigenstructure(quick: bool = False):
             and rep.parallel_residual < 1e-10
             and abs(rep.zeta) > 0
             and umvm_res < 1e-10
-            and ident["q_residual"] < 1e-10
+            and rep.q_residual < 1e-10
         )
         passed &= ok
         details[f"N={n}"] = {
@@ -275,7 +275,7 @@ def criterion_6_profile_eigenstructure(quick: bool = False):
             "parallel_residual": rep.parallel_residual,
             "zeta": rep.zeta,
             "umvm_residual": umvm_res,
-            "q_residual": ident["q_residual"],
+            "q_residual": rep.q_residual,
         }
     return passed, details
 

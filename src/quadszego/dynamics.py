@@ -138,10 +138,6 @@ class TrajectoryRecord:
             pair[half] = (s, 0.0)
         return pair[half]
 
-    def _k_sketch_at(self, i: int) -> tuple[np.ndarray, float]:
-        """``(s, r)`` for ``K_u`` at snapshot ``i``."""
-        return self._certified_at(i, 1)
-
     @cached_property
     def k2_spectra(self) -> np.ndarray:
         """(n_snapshots, n_spectrum): the top K^2 eigenvalues ``s_j^2``,
@@ -153,7 +149,7 @@ class TrajectoryRecord:
         """
         out = np.zeros((len(self.states), self.n_spectrum))
         for i, row in enumerate(out):
-            top = self._k_sketch_at(i)[0][: self.n_spectrum]
+            top = self._certified_at(i, 1)[0][: self.n_spectrum]
             row[: len(top)] = top**2
         out.flags.writeable = False
         return out

@@ -15,7 +15,8 @@ Conventions
   the alias-free modes of ``u^2`` and ``Pi(|u|^2)``, :func:`j_and_flow`
   ``J`` with the flow.  The sample grid, the J step (the one place
   ``J = (u^2|u)`` is computed, so all callers agree bit for bit) and the FFT
-  passes are private here; :func:`conserved` and :func:`is_steady` use them.
+  passes are private here; :func:`conserved` uses them for ``J`` alone,
+  and the equilibrium check ``steady.is_steady`` reads that ``J``.
   The samples come in a private order (a blocked layout on long grids, see
   :func:`_grid_values`) that nothing outside this module sees.  The
   transforms are ``numpy.fft``'s; the package imports no scipy.
@@ -39,8 +40,6 @@ __all__ = [
     "conserved",
     "quadratic_products",
     "j_and_flow",
-    "is_steady",
-    "STEADY_TOL",
 ]
 
 
@@ -164,7 +163,7 @@ def _j_step(v: np.ndarray) -> tuple[complex, np.ndarray]:
     ``J`` is the mean of ``|v|^2 v``, summed pairwise, exact because no
     nonzero frequency of ``u^2 conj(u)`` is a multiple of the grid length; a
     BLAS dot product's round-off at millions of modes would exceed the
-    equilibrium gate :data:`STEADY_TOL`.  Every ``J`` in the package comes
+    equilibrium gate ``steady.STEADY_TOL``.  Every ``J`` in the package comes
     from here, so all callers agree bit for bit.
     """
     abs2 = v.real**2
@@ -374,27 +373,3 @@ def conserved(u: HardyCoefficients) -> ConservedTriple:
     # a product, not Python float **: a huge state gives E = inf, not OverflowError
     return ConservedTriple(Q=q, M=mom, E=0.5 * abs(j) * abs(j), J=j)
 
-
-# the equilibrium gate on |J| and the flow norm: criterion 10, `szego steady --verify`, is_steady
-STEADY_TOL = 1e-11
-
-
-def is_steady(u: HardyCoefficients, tol: float = STEADY_TOL) -> bool:
-    """Whether ``u`` is an equilibrium: ``|J(u)| < tol``.
-
-    Equilibria are exactly the zero-J states, so this is equivalent to a
-    vanishing flow derivative.  One inverse FFT samples ``u`` for ``J``, the
-    flow and the products; the flow takes its own forward FFT (as in
-    :func:`j_and_flow`) and the products theirs (as in
-    :func:`quadratic_products`): the flow norm must stay under
-    ``|J| (2 ||Pi|u|^2|| + ||u^2||)``, with a 10x slack for round-off.
-    """
-    m = u.trunc
-    v = _grid_values(u.coeffs)
-    j, abs2 = _j_step(v)
-    u2, abs2_modes = _product_pass(v.copy(), abs2, m, 2 * m - 1)
-    flow = _flow_pass(v, j, abs2, m)
-    norm_scale = 2.0 * np.linalg.norm(abs2_modes) + np.linalg.norm(u2)
-    if np.linalg.norm(flow) > abs(j) * norm_scale * 10.0 + 1e-13:
-        raise AssertionError("flow-derivative route disagrees with the J route")
-    return bool(abs(j) < tol)

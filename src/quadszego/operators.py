@@ -14,7 +14,9 @@ matrix identities:
 because ``conj(A) = A^T`` for Hermitian ``A``.  Hankel matrices are
 complex-symmetric, so ``conj(H) = H^H`` and the spectrum of ``H_u^2 = H H^H``
 is the squared singular values of ``H``, its eigenvectors the left singular
-vectors.
+vectors.  :func:`verify_au_minus_d` reads both the ``A_u - D`` eigenstructure
+and the scalar identities of a traveling-wave profile off one such
+decomposition.
 """
 
 from __future__ import annotations
@@ -24,12 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotEigenvector, PoleCollision
-from .hardy import (
-    HardyCoefficients,
-    conserved,
-    inner_product,
-    quadratic_products,
-)
+from .hardy import HardyCoefficients, conserved, quadratic_products
 
 __all__ = [
     "hankel",
@@ -41,7 +38,6 @@ __all__ = [
     "verify_lax",
     "AuDReport",
     "verify_au_minus_d",
-    "verify_profile_identities",
     "verify_syst_pl",
 ]
 
@@ -317,6 +313,14 @@ class AuDReport:
     with ``parallel_residual`` its relative defect; ``ladder`` the spectrum of
     ``A_u - D`` restricted to the dominant eigenspace, which must consist of
     simple consecutive values starting at ``(varpi + 2 - n_sigma)/2``.
+
+    The scalar identities of a profile normalized to ``(u|1) = N``, read
+    with ``N = n_sigma``: ``q_residual`` is the defect of
+    ``varpi N = 2Q + N^2``, ``mean_residual`` that of ``(u|1) = N``, and
+    ``umvm`` holds one entry per K-dominant level ``u_m`` of multiplicity
+    ``n_m``: its ``mean`` ``(u_m|1)``, the ``residual`` of
+    ``(varpi + n_m - 2N)(u_m|1) = 2 ||u_m||^2`` and whether the mean is real
+    positive (``mean_positive``).
     """
 
     n_sigma: int
@@ -327,14 +331,41 @@ class AuDReport:
     parallel_residual: float
     ladder: tuple[float, ...]
     ladder_residual: float
+    q_residual: float
+    mean_residual: float
+    umvm: tuple[dict, ...]
 
     @property
     def empty(self) -> bool:
         return self.n_sigma == 0
 
 
+def _scalar_identities(u: HardyCoefficients, report: SpectralReport, varpi: float, n: int) -> dict:
+    """:class:`AuDReport`'s ``q_residual``, ``mean_residual`` and ``umvm`` for ``N = n``."""
+    umvm = []
+    for d in report.dominance:
+        if d.label != "K":
+            continue
+        um = report.projections[float(np.sqrt(d.sigma2))]
+        mean = complex(um.coeffs[0])  # (u_m|1)
+        umvm.append(
+            {
+                "n_m": d.dim_F,
+                "mean": mean,
+                "residual": abs((varpi + d.dim_F - 2 * n) * mean - 2.0 * um.norm() ** 2),
+                "mean_positive": mean.real > 0 and abs(mean.imag) < 1e-8 * max(1.0, mean.real),
+            }
+        )
+    return {
+        "q_residual": abs(varpi * n - 2.0 * conserved(u).Q - n**2),
+        "mean_residual": abs(complex(u.coeffs[0]) - n),
+        "umvm": tuple(umvm),
+    }
+
+
 def verify_au_minus_d(u: HardyCoefficients, varpi: float, tol: float = 1e-8) -> AuDReport:
-    """Verify the ``A_u - D`` eigenvector identities for a profile ``u``.
+    """Verify the ``A_u - D`` eigenvector identities and the scalar
+    identities of a profile ``u``, from one decomposition of its Hankel pair.
 
     Raises :class:`NotEigenvector` when the eigen-residual exceeds ``tol``
     (the input is then not a traveling-wave profile for this ``varpi``).
@@ -352,6 +383,7 @@ def verify_au_minus_d(u: HardyCoefficients, varpi: float, tol: float = 1e-8) -> 
             parallel_residual=0.0,
             ladder=(),
             ladder_residual=0.0,
+            **_scalar_identities(u, report, varpi, 0),
         )
 
     # dominant sigma: the largest K-dominant level
@@ -400,36 +432,8 @@ def verify_au_minus_d(u: HardyCoefficients, varpi: float, tol: float = 1e-8) -> 
         parallel_residual=parallel_residual,
         ladder=tuple(float(x) for x in np.sort(ladder)),
         ladder_residual=ladder_residual,
+        **_scalar_identities(u, report, varpi, n_sigma),
     )
-
-
-def verify_profile_identities(u: HardyCoefficients, varpi: float, n_poles: int) -> dict:
-    """Scalar identities satisfied by normalized multi-pole profiles.
-
-    For ``u`` solving the profile equation with ``(u|1) = N = n_poles``:
-    ``varpi N = 2Q + N^2`` and, per dominant level,
-    ``(varpi + n_m - 2N)(u_m|1) = 2 ||u_m||^2`` with ``(u_m|1)`` real positive.
-    """
-    q = conserved(u).Q
-    res_q = abs(varpi * n_poles - 2.0 * q - n_poles**2)
-    report = spectral_report(u)
-    one = HardyCoefficients(np.ones(1))
-    umvm = []
-    for d in report.dominance:
-        if d.label != "K":
-            continue
-        sig = float(np.sqrt(d.sigma2))
-        um = report.projections[sig]
-        mean = inner_product(um, one)
-        umvm.append(
-            {
-                "n_m": d.dim_F,
-                "mean": mean,
-                "residual": abs((varpi + d.dim_F - 2 * n_poles) * mean - 2.0 * um.norm() ** 2),
-                "mean_positive": mean.real > 0 and abs(mean.imag) < 1e-8 * max(1.0, mean.real),
-            }
-        )
-    return {"q_residual": res_q, "umvm": umvm, "mean_residual": abs(inner_product(u, one) - n_poles)}
 
 
 def verify_syst_pl(p_points, varpi: float) -> float:

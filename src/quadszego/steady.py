@@ -25,8 +25,8 @@ coefficient builder, takes each power of ``P`` to a few ulps at any
 truncation.  ``J`` and the flow stay double precision and come from
 :func:`~quadszego.hardy.j_and_flow`: a coefficient rounded to double carries
 an unstructured error of size ``eps ||u||``, which moves ``J`` by round-off
-only.  The check :func:`is_steady` and its gate ``STEADY_TOL`` live in
-:mod:`quadszego.hardy`, which alone samples ``u``, and are re-exported here.
+only.  The check :func:`is_steady` is ``|J| < STEADY_TOL``, with ``J`` from
+:func:`~quadszego.hardy.conserved`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from decimal import Context, Decimal, localcontext
 import numpy as np
 
 from .errors import PoleOutsideDisc
-from .hardy import STEADY_TOL, HardyCoefficients, is_steady, j_and_flow
+from .hardy import HardyCoefficients, conserved, j_and_flow
 
 __all__ = [
     "SteadyV3Params",
@@ -52,6 +52,9 @@ __all__ = [
     "explicit_example",
     "STEADY_TOL",
 ]
+
+# the equilibrium gate on |J| and the flow norm: criterion 10, `szego steady --verify`, is_steady
+STEADY_TOL = 1e-11
 
 # suggested_trunc's target for the neglected tail of |J|, and its largest truncation
 _TRUNC_TAIL, _TRUNC_CAP = 3e-14, 6_000_000
@@ -203,6 +206,16 @@ def steadiness_measure(
     tr = suggested_trunc(params.theta) if trunc is None else trunc
     j, flow = j_and_flow(_steady_coeffs(params, tr))
     return SteadinessMeasure(abs_j=float(abs(j)), rhs_norm=float(np.linalg.norm(flow)), trunc=tr)
+
+
+def is_steady(u: HardyCoefficients, tol: float = STEADY_TOL) -> bool:
+    """Whether ``u`` is an equilibrium: ``|J(u)| < tol``.
+
+    Equilibria are exactly the zero-J states, so this is equivalent to a
+    vanishing flow derivative.  ``J`` is :func:`~quadszego.hardy.conserved`'s,
+    from one inverse FFT and no forward one.
+    """
+    return bool(abs(conserved(u).J) < tol)
 
 
 def explicit_example(trunc: int = 512) -> HardyCoefficients:

@@ -412,12 +412,7 @@ def instability_experiment(
 
     exit_fwd, mono_fwd = _first_exit(fwd, x_r, threshold)
     exit_bwd, mono_bwd = _first_exit(bwd, x_r, threshold)
-    if exit_fwd is not None:
-        monotone = mono_fwd
-    elif exit_bwd is not None:
-        monotone = mono_bwd
-    else:
-        monotone = False
+    monotone = mono_fwd if exit_fwd is not None else mono_bwd
     y_max = max(float(np.max(np.abs(fwd.x - x_r))), float(np.max(np.abs(bwd.x - x_r))))
 
     lin_fit, quad_fit = _fit_y_polynomial(fwd, x_r)

@@ -78,22 +78,6 @@ class TravelingWaveSpec:
     def varpi(self) -> float:
         return self._omega / self._c
 
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "lambda": [self.lam.real, self.lam.imag],
-            "p": [self.p.real, self.p.imag],
-            "N": self.n,
-            "omega": self.omega,
-            "c": self.c,
-        }
-
-    @staticmethod
-    def from_json(payload: dict) -> "TravelingWaveSpec":
-        lam = complex(*payload["lambda"])
-        p = complex(*payload["p"])
-        return TravelingWaveSpec(family=payload["family"], lam=lam, p=p, n=payload["N"])
-
 
 def build_profile(spec: TravelingWaveSpec, trunc: int) -> HardyCoefficients:
     """Expand a family profile into ``trunc`` Fourier modes.

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from quadszego import hardy
+
 
 @pytest.fixture
 def fft_counts(monkeypatch) -> dict:
@@ -16,3 +18,9 @@ def fft_counts(monkeypatch) -> dict:
 
         monkeypatch.setattr(np.fft, name, counting)
     return counts
+
+
+@pytest.fixture
+def blocked(monkeypatch):
+    """Every grid, however short, takes the four-step FFT's blocked layout."""
+    monkeypatch.setattr(hardy, "_BLOCKED_FROM", 1)

@@ -11,6 +11,7 @@ vanishing y-linear fit in the reported details carry the evidence.
 import itertools
 import time
 
+import numpy as np
 import pytest
 
 from quadszego import acceptance
@@ -53,3 +54,12 @@ def test_gate_reads_a_monotonic_clock(monkeypatch):
     monkeypatch.setattr(time, "time", lambda: next(ticks))
     result = acceptance.criterion_1_traveling_wave_certification(quick=True)
     assert result.passed and result.runtime < 10.0, result.line()
+
+
+def test_criterion_6_decomposes_each_profile_once(monkeypatch):
+    # one singular-vector decomposition of K per profile, N = 1, 2, 3
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
+    assert acceptance.criterion_6_profile_eigenstructure(quick=False).passed
+    assert calls == [(512, 512)] * 3

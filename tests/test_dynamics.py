@@ -22,6 +22,7 @@ from quadszego.dynamics import (
 from quadszego.errors import DriftExceeded, NonFiniteState
 from quadszego.hardy import HardyCoefficients, apply_D, conserved, quadratic_products
 from quadszego.operators import hankel, shifted_hankel
+from quadszego.steady import SteadyV3Params, build_steady
 from quadszego.v3 import V3State, embed, v3_integrate
 from quadszego.waves import TravelingWaveSpec, build_profile
 
@@ -31,17 +32,26 @@ def test_rhs_zero():
     assert out.norm() == 0.0
 
 
-@pytest.mark.parametrize("m", [2, 3, 256, 512, 1000])
+@pytest.mark.parametrize("m", [2, 3, 256, 512, 1000, "steady"])
 def test_rhs_matches_quadratic_products(m):
     # the one-FFT-pair RHS against the three-FFT route; the RHS is quintic in
-    # u, and unit norm makes 1e-14 a bound relative to ||u||^3 and ||u||^5
-    rng = np.random.default_rng(m)
-    c = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * 0.99 ** np.arange(m)
+    # u, and unit norm makes 1e-14 a bound relative to ||u||^3 and ||u||^5.
+    # On the equilibrium J is round-off, so the RHS must be too.
+    if m == "steady":
+        c = build_steady(SteadyV3Params(scale=1.0, a=0.3, b_angle=0.5, theta=0.7), 512).coeffs.copy()
+    else:
+        rng = np.random.default_rng(m)
+        c = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * 0.99 ** np.arange(m)
     c /= np.linalg.norm(c)
-    _, u2, abs2 = quadratic_products(c, m)
+    _, u2, abs2 = quadratic_products(c, len(c))
     j = np.sum(u2 * np.conj(c))  # J = (u^2|u) summed over coefficients
     expected = -1j * (2.0 * j * abs2 + np.conj(j) * u2)
     assert np.max(np.abs(rhs(HardyCoefficients(c)).coeffs - expected)) < 1e-14
+
+
+@pytest.mark.parametrize("m", [2, 3, 1000, "steady"])
+def test_blocked_rhs_matches_quadratic_products(blocked, m):
+    test_rhs_matches_quadratic_products(m)
 
 
 def test_rhs_constant_reduction():
@@ -157,7 +167,7 @@ def _check_k2_rows(traj) -> list:
         k = shifted_hankel(state)
         sv = np.linalg.svdvals(k)
         top = sv[:n] ** 2
-        r = traj._k_sketch_at(i)[1]
+        r = traj._certified_at(i, 1)[1]
         if r == 0:
             assert np.array_equal(row[: len(top)], top)
         else:
@@ -234,7 +244,7 @@ def test_k2_spectra_compute_only_missing_k_values(monkeypatch):
     assert len(pairs) == len(traj.times)
     assert not any(a.shape == (256, 256) for a in calls)
     sv = np.linalg.svdvals(shifted_hankel(traj.states[0]))
-    r = traj._k_sketch_at(0)[1]
+    r = traj._certified_at(0, 1)[1]
     assert 0 < r <= 16 * 256 * np.finfo(float).eps * np.linalg.norm(sv)
     assert np.max(np.abs(spectra[0] - sv[:4] ** 2)) <= (2 * sv[0] + r) * r
 
@@ -356,7 +366,7 @@ def test_rank_check_falls_back_to_dense_k_near_threshold(monkeypatch):
         assert any(np.array_equal(a, k) for a in calls)
         answers.add(dense)
     assert answers == {True, False}  # the threshold really sits at sigma_2(K)
-    assert traj._k_sketch_at(0)[1] > 0  # the cache still holds the sketch
+    assert traj._certified_at(0, 1)[1] > 0  # the cache still holds the sketch
 
 
 def test_k2_spectra_independent_of_read_order():
@@ -379,7 +389,7 @@ def test_cached_spectra_are_read_only():
     with pytest.raises(ValueError):
         traj.k2_spectra[0, 0] = 1.0
     for i in range(len(traj.states)):
-        s, _ = traj._k_sketch_at(i)
+        s, _ = traj._certified_at(i, 1)
         with pytest.raises(ValueError):
             s[0] = 1.0
 

@@ -11,7 +11,6 @@ import pytest
 import scipy.fft
 
 import quadszego
-from quadszego import hardy
 from quadszego.hardy import (
     HardyCoefficients,
     _next_fast_len,
@@ -178,12 +177,6 @@ def test_every_j_route_agrees_bit_for_bit(m):
 
 
 # ---------------------------------------------------------------- blocked layout
-
-
-@pytest.fixture
-def blocked(monkeypatch):
-    """Every grid, however short, takes the four-step FFT's blocked layout."""
-    monkeypatch.setattr(hardy, "_BLOCKED_FROM", 1)
 
 
 def test_blocked_layout_runs_two_passes_each_way(blocked, fft_counts):

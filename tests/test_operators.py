@@ -15,7 +15,6 @@ from quadszego.operators import (
     spectral_report,
     verify_au_minus_d,
     verify_lax,
-    verify_profile_identities,
     verify_syst_pl,
 )
 
@@ -397,17 +396,15 @@ def test_au_minus_d_rejects_non_profile():
 
 
 def test_profile_identities_multi_pole():
+    # the scalar identities ride on the A_u - D report, with N read as n_sigma
     for n in (1, 2, 3):
         alpha = 0.4
-        m = 512
-        arr = np.zeros(m, dtype=complex)
-        arr[::n] = n * alpha ** np.arange(len(arr[::n]))
-        u = HardyCoefficients(arr)
         varpi = n * (3 - alpha**2) / (1 - alpha**2)
-        ident = verify_profile_identities(u, varpi, n)
-        assert ident["q_residual"] < 1e-10
-        assert ident["mean_residual"] < 1e-12  # (u|1) = N
-        for entry in ident["umvm"]:
+        rep = verify_au_minus_d(multi_pole(n, alpha, 512), varpi)
+        assert rep.n_sigma == n and rep.umvm
+        assert rep.q_residual < 1e-10
+        assert rep.mean_residual < 1e-12  # (u|1) = N
+        for entry in rep.umvm:
             assert entry["residual"] < 1e-10
             assert entry["mean_positive"]
 

@@ -216,11 +216,9 @@ def test_is_steady_monomial_and_zero():
 
 
 def test_is_steady_samples_the_state_once(fft_counts):
-    # J, the flow and the products come from one inverse FFT; the flow and
-    # the products keep their own forward transforms, so the consistency
-    # check still compares two routes
+    # is_steady is the J test: one inverse FFT and no forward transform
     assert is_steady(explicit_example(512), tol=1e-13)
-    assert fft_counts == {"ifft": 1, "fft": 2, "rfft": 1}
+    assert fft_counts == {"ifft": 1, "fft": 0, "rfft": 0}
 
 
 @pytest.mark.parametrize("trunc", [0, -3])

@@ -49,13 +49,6 @@ def test_spec_validation():
         TravelingWaveSpec("I", 0.0, 0.5, 1)
 
 
-def test_spec_json_round_trip():
-    spec = TravelingWaveSpec("II", 0.5 + 0.1j, 0.3 - 0.2j, 2)
-    back = TravelingWaveSpec.from_json(spec.to_json())
-    assert back == spec
-    assert back.omega == spec.omega
-
-
 # ---------------------------------------------------------------- profiles
 
 
