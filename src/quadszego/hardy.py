@@ -18,8 +18,11 @@ Conventions
   passes are private here; :func:`conserved` uses them for ``J`` alone,
   and the equilibrium check ``steady.is_steady`` reads that ``J``.
   The samples come in a private order (a blocked layout on long grids, see
-  :func:`_grid_values`) that nothing outside this module sees.  The
-  transforms are ``numpy.fft``'s; the package imports no scipy.
+  :func:`_grid_values`) that nothing outside this module sees.  In the
+  blocked layout the pointwise passes run over chunks of ``_CHUNK``
+  samples and make no grid-sized temporary; ``J`` is summed pairwise
+  within chunks, then over the chunk sums.  The transforms are
+  ``numpy.fft``'s; the package imports no scipy.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +52,12 @@ __all__ = [
 # j_and_flow on 2 vCPUs: blocked ran 10-36 % faster at every length from 2^17
 # to 4 939 200, and 1-D won or tied at some lengths below (BENCH_numpy_fft.json).
 _BLOCKED_FROM = 1 << 17
+
+# Samples per chunk of the blocked layout's pointwise passes, which then make
+# no grid-sized temporary.  Sweep of 2^11..2^17 at 4 939 200 points on 2 vCPUs:
+# the J step and flow pass took 41 ms at 2^14, the fastest, against 105 ms
+# over the whole array (BENCH_chunked_passes.json).
+_CHUNK = 1 << 14
 
 
 @functools.lru_cache(maxsize=1024)
@@ -156,31 +166,53 @@ def _modes(w: np.ndarray, n: int) -> np.ndarray:
     return w[:n]
 
 
-def _j_step(v: np.ndarray) -> tuple[complex, np.ndarray]:
+def _chunks(v: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive views of ``_CHUNK`` samples of ``v``; the last may be shorter."""
+    return (v[i : i + _CHUNK] for i in range(0, len(v), _CHUNK))
+
+
+def _abs2(w: np.ndarray) -> np.ndarray:
+    """``|w|^2``, real, in ``w``'s precision."""
+    abs2 = w.real**2
+    abs2 += w.imag**2
+    return abs2
+
+
+def _j_step(v: np.ndarray) -> tuple[complex, np.ndarray | None]:
     """``J = (u^2|u)`` and ``|v|^2`` from the samples ``v`` of
     :func:`_grid_values`.
 
     ``J`` is the mean of ``|v|^2 v``, summed pairwise, exact because no
     nonzero frequency of ``u^2 conj(u)`` is a multiple of the grid length; a
     BLAS dot product's round-off at millions of modes would exceed the
-    equilibrium gate ``steady.STEADY_TOL``.  Every ``J`` in the package comes
-    from here, so all callers agree bit for bit.
+    equilibrium gate ``steady.STEADY_TOL``.  In the blocked layout (from
+    ``_BLOCKED_FROM`` points) the sum runs pairwise within chunks of
+    ``_CHUNK`` samples, then over the chunk sums, and ``|v|^2`` is not kept
+    (``None``): the passes after it recompute it chunk by chunk.  Every
+    ``J`` in the package comes from here, so all callers agree bit for bit.
     """
-    abs2 = v.real**2
-    abs2 += v.imag**2
-    return np.sum(abs2 * v) / len(v), abs2
-
-
-def _product_pass(v: np.ndarray, abs2: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Modes ``0..n-1`` of ``u^2`` and ``Pi(|u|^2)`` from the samples ``v``
-    and ``|v|^2``: one forward transform of ``|v|^2`` (a real FFT below
-    ``_BLOCKED_FROM`` points) and one of ``v^2``, which squares ``v`` in place."""
-    keep = min(n, m)
-    pi_abs2 = np.zeros(n, dtype=v.dtype)
     if len(v) < _BLOCKED_FROM:
+        abs2 = _abs2(v)
+        return np.sum(abs2 * v) / len(v), abs2
+    sums = np.array([np.sum(_abs2(w) * w) for w in _chunks(v)])
+    return np.sum(sums) / len(v), None
+
+
+def _product_pass(v: np.ndarray, abs2: np.ndarray | None, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Modes ``0..n-1`` of ``u^2`` and ``Pi(|u|^2)`` from :func:`_j_step`'s
+    samples ``v`` and ``|v|^2``: one forward transform of ``|v|^2`` (a real
+    FFT below ``_BLOCKED_FROM`` points, else of one complex buffer filled
+    chunk by chunk) and one of ``v^2``, which squares ``v`` in place."""
+    keep = min(n, m)
+    if abs2 is not None:
+        pi_abs2 = np.zeros(n, dtype=v.dtype)
         pi_abs2[:keep] = np.fft.rfft(abs2, norm="forward")[:keep]
     else:
-        pi_abs2[:keep] = _modes(abs2.astype(v.dtype), keep)
+        pi_abs2 = np.empty_like(v)
+        for w, out in zip(_chunks(v), _chunks(pi_abs2)):
+            out[:] = _abs2(w)
+        pi_abs2 = _modes(pi_abs2, n)
+        pi_abs2[keep:] = 0
     v *= v
     return _modes(v, n), pi_abs2
 
@@ -220,11 +252,15 @@ def j_and_flow(c: np.ndarray) -> tuple[complex, np.ndarray]:
     return j, _flow_pass(v, j, abs2, len(c))
 
 
-def _flow_pass(v: np.ndarray, j: complex, abs2: np.ndarray, m: int) -> np.ndarray:
-    """The flow's modes ``0..m-1`` from :func:`_j_step`'s samples; overwrites ``v``."""
-    v *= v
-    v *= -1j * np.conj(j)
-    v += (-2j * j) * abs2
+def _flow_pass(v: np.ndarray, j: complex, abs2: np.ndarray | None, m: int) -> np.ndarray:
+    """The flow's modes ``0..m-1`` from :func:`_j_step`'s samples and
+    ``|v|^2``, recomputed chunk by chunk where it is ``None``; overwrites ``v``."""
+    rotate, scale = -1j * np.conj(j), -2j * j
+    pieces = [(v, abs2)] if abs2 is not None else ((w, _abs2(w)) for w in _chunks(v))
+    for w, w_abs2 in pieces:
+        w *= w
+        w *= rotate
+        w += scale * w_abs2
     return _modes(v, m)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import scipy.fft
 
 import quadszego
+from quadszego import hardy
 from quadszego.hardy import (
     HardyCoefficients,
     _next_fast_len,
@@ -190,7 +192,12 @@ def test_blocked_products_match_direct_convolution(blocked, m):
     test_quadratic_products_match_direct_convolution(m)
 
 
-@pytest.mark.parametrize("m", [2, 3, 256, 1000])
+# 20 000 modes sample 40 000 points: three chunks of the blocked layout's
+# pointwise passes, the last one short
+MULTI_CHUNK = 20_000
+
+
+@pytest.mark.parametrize("m", [2, 3, 256, 1000, MULTI_CHUNK])
 def test_blocked_j_routes_agree_bit_for_bit(blocked, m):
     test_every_j_route_agrees_bit_for_bit(m)
 
@@ -198,6 +205,91 @@ def test_blocked_j_routes_agree_bit_for_bit(blocked, m):
 @pytest.mark.skipif(not hasattr(np, "float128"), reason="numpy has no float128 here")
 def test_blocked_products_keep_extended_precision(blocked):
     test_quadratic_products_keep_extended_precision()
+
+
+def test_multi_chunk_products_and_flow_match_the_unblocked_route(monkeypatch):
+    # unit norm, so J, the products and the flow are all O(1)
+    m = MULTI_CHUNK
+    c = random_state(np.random.default_rng(20), m=m, decay=0.999).coeffs
+    c = c / np.linalg.norm(c)
+    assert len(hardy._grid_values(c)) > 2 * hardy._CHUNK
+    products = {n: quadratic_products(c, n) for n in (m, 2 * m - 1)}
+    j, flow = j_and_flow(c)
+    monkeypatch.setattr(hardy, "_BLOCKED_FROM", 1)
+    for n, (_, ref_u2, ref_abs2) in products.items():
+        _, u2, abs2 = quadratic_products(c, n)
+        assert u2.shape == abs2.shape == (n,)
+        assert np.max(np.abs(u2 - ref_u2)) <= 1e-13
+        assert np.max(np.abs(abs2 - ref_abs2)) <= 1e-13
+        assert not np.any(abs2[m:])
+    blocked_j, blocked_flow = j_and_flow(c)
+    assert abs(blocked_j - j) <= 1e-13
+    assert np.max(np.abs(blocked_flow - flow)) <= 1e-13
+
+
+@pytest.mark.skipif(not hasattr(np, "float128"), reason="numpy has no float128 here")
+def test_multi_chunk_products_keep_extended_precision(monkeypatch):
+    # the 80-bit route below _BLOCKED_FROM matches the direct convolution
+    # (test_quadratic_products_keep_extended_precision); the chunked passes
+    # agree with it to 2.4e-19, where rounding the products to double alone
+    # differs by 7.5e-18
+    m = MULTI_CHUNK
+    c = random_state(np.random.default_rng(7), m=m, decay=0.999).coeffs.astype(np.complex256)
+    scale = np.vdot(c, c).real
+    _, ref_u2, ref_abs2 = quadratic_products(c, 2 * m - 1)
+    monkeypatch.setattr(hardy, "_BLOCKED_FROM", 1)
+    _, u2, abs2 = quadratic_products(c, 2 * m - 1)
+    assert u2.dtype == abs2.dtype == np.complex256
+    assert np.max(np.abs(u2 - ref_u2)) <= 1e-18 * scale
+    assert np.max(np.abs(abs2 - ref_abs2)) <= 1e-18 * scale
+
+
+def test_blocked_huge_state_has_infinite_energy(blocked):
+    test_conserved_of_a_huge_state_has_infinite_energy()
+    # over three chunks: the first chunk's sum overflows to inf and the
+    # last's imaginary part to -inf, so the grid sum is NaN; J = a^3 M(M+1)/2
+    # is finite and comes from the rescaled state
+    a = 5e298 ** (1 / 3)
+    c = conserved(HardyCoefficients(np.full(MULTI_CHUNK, a)))
+    assert c.E == np.inf
+    assert c.J == pytest.approx(a**3 * MULTI_CHUNK * (MULTI_CHUNK + 1) / 2, rel=1e-13)
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_blocked_passes_make_no_grid_sized_temporary():
+    # numpy reports its buffers to tracemalloc; the peak includes the grid
+    # itself (16 L bytes) and, for the products, the buffer of |u|^2
+    m = 1 << 17
+    c = random_state(np.random.default_rng(17), m=m, decay=0.9999).coeffs
+    grid = len(hardy._grid_values(c))
+    assert grid >= hardy._BLOCKED_FROM
+    grid_bytes = 16 * grid
+    assert _peak_bytes(lambda: j_and_flow(c)) <= 1.25 * grid_bytes
+    assert _peak_bytes(lambda: quadratic_products(c, m)) <= 2.25 * grid_bytes
+
+
+def test_j_and_flow_scale_exactly_under_powers_of_two(m=512):
+    # J is cubic and the flow quintic in u (the symmetry u -> mu u(mu^4 t));
+    # scaling by a power of two commutes with every rounding, so the law
+    # holds bit for bit
+    c = random_state(np.random.default_rng(m), m=m, decay=0.97).coeffs
+    j, flow = j_and_flow(c)
+    for k in (-3, 5):
+        jk, flow_k = j_and_flow(c * 2.0**k)
+        assert jk == complex(np.ldexp(j.real, 3 * k), np.ldexp(j.imag, 3 * k))
+        assert np.array_equal(flow_k, flow * 2.0 ** (5 * k))
+
+
+def test_blocked_j_and_flow_scale_exactly_under_powers_of_two(blocked):
+    test_j_and_flow_scale_exactly_under_powers_of_two(MULTI_CHUNK)
 
 
 def test_next_fast_len_matches_scipy():
