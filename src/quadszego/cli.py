@@ -34,6 +34,9 @@ from .waves import TravelingWaveSpec, build_profile
 # simulate's defaults; with no --trunc it runs at max(trunc, the initial state's)
 _SIMULATE = SimulationConfig(dt=1e-3, t_final=1.0, trunc=256)
 
+# the most modes steady --out writes: about 35 MB of JSON
+_STEADY_OUT_MAX = 1 << 20
+
 
 def _write_artifact(path: str | None, payload: dict) -> None:
     if path is None:
@@ -67,13 +70,14 @@ def _run_config(args, trunc: int) -> SimulationConfig:
 
 
 def _cmd_simulate(args) -> int:
-    if args.state is not None:
-        u0 = _load_state(args.state)
-    elif args.family is not None:
-        u0 = build_profile(TravelingWaveSpec(*_wave(args)), _SIMULATE.trunc if args.trunc is None else args.trunc)
-    else:
+    if args.state is None and args.family is None:
         raise ValueError("provide --state or a --family profile")
-    cfg = _run_config(args, max(_SIMULATE.trunc, u0.trunc) if args.trunc is None else args.trunc)
+    u0 = None if args.state is None else _load_state(args.state)
+    default = _SIMULATE.trunc if u0 is None else max(_SIMULATE.trunc, u0.trunc)
+    # the run config is checked before a profile is built at its trunc
+    cfg = _run_config(args, default if args.trunc is None else args.trunc)
+    if u0 is None:
+        u0 = build_profile(TravelingWaveSpec(*_wave(args)), cfg.trunc)
     traj = integrate(u0, cfg)
     print(f"solver steps={traj.steps} rhs_evals={traj.nfev} snapshots={len(traj.times)}")
     for name, val in traj.drift.items():
@@ -145,14 +149,19 @@ def _cmd_instability(args) -> int:
 def _cmd_steady(args) -> int:
     params = SteadyV3Params(scale=args.scale, a=args.a, b_angle=args.b, theta=args.theta)
     trunc = suggested_trunc(params.theta) if args.trunc is None else args.trunc
+    if args.out and trunc > _STEADY_OUT_MAX:
+        raise ValueError(
+            f"steady --out writes at most {_STEADY_OUT_MAX} modes and theta={params.theta} takes {trunc}; "
+            "pass a smaller --trunc"
+        )
     status = 0
     if args.verify or not args.out:
         meas = steadiness_measure(params, trunc=trunc)
         print(f"theta={params.theta:.6f} trunc={meas.trunc} |J|={meas.abs_j:.3e} rhs_norm={meas.rhs_norm:.3e}")
         status = 0 if (meas.abs_j < STEADY_TOL and meas.rhs_norm < STEADY_TOL) else 1
     if args.out:
-        state = build_steady(params, min(trunc, 65536))
-        _write_artifact(args.out, {**_header(args, theta=params.theta), "state": state.to_json()})
+        header = _header(args, theta=params.theta, scale=params.scale, a=params.a, b=params.b_angle, trunc=trunc)
+        _write_artifact(args.out, {**header, "state": build_steady(params, trunc).to_json()})
         print(f"wrote {args.out}")
     return status
 

@@ -63,35 +63,17 @@ _CHUNK = 1 << 14
 @functools.lru_cache(maxsize=1024)
 def _next_fast_len(n: int) -> int:
     """The smallest 2,3,5,7,11-smooth integer ``>= n >= 1``, which equals
-    ``scipy.fft.next_fast_len(n)``: pocketfft's search for a fast complex
-    length.  Cached, since every right-hand side asks for it."""
-    if n <= 12:
-        return n
-    best = 2 * n
-    f11 = 1
-    while f11 < best:
-        f7 = f11
-        while f7 < best:
-            f5 = f7
-            while f5 < best:
-                # walk x = f5 2^a 3^b across n, keeping the least x >= n
-                x = f5
-                while x < n:
-                    x *= 2
-                while x != n:
-                    if x < n:
-                        x *= 3
-                        continue
-                    best = min(best, x)
-                    if x & 1:
-                        break
-                    x >>= 1
-                else:
-                    return n
-                f5 *= 5
-            f7 *= 7
-        f11 *= 11
-    return best
+    ``scipy.fft.next_fast_len(n)``: the least ``m 2^k >= n`` over the odd
+    3,5,7,11-smooth ``m`` up to the least power of two ``p >= n`` (an odd
+    ``m`` past ``p`` would exceed ``p`` itself).  Cached, since every right-hand
+    side asks for it."""
+    p = 1 << (n - 1).bit_length()
+    odd = [1]
+    for f in (3, 5, 7, 11):
+        for m in odd:  # also visits the multiples it appends, so every power of f
+            if m * f <= p:
+                odd.append(m * f)
+    return min(m << (-(-n // m) - 1).bit_length() for m in odd)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -14,9 +14,11 @@ matrix identities:
 because ``conj(A) = A^T`` for Hermitian ``A``.  Hankel matrices are
 complex-symmetric, so ``conj(H) = H^H`` and the spectrum of ``H_u^2 = H H^H``
 is the squared singular values of ``H``, its eigenvectors the left singular
-vectors.  :func:`verify_au_minus_d` reads both the ``A_u - D`` eigenstructure
-and the scalar identities of a traveling-wave profile off one such
-decomposition.
+vectors.  :func:`spectral_report` chooses the eigenspace ``F_u(sigma)`` of
+each K-dominant level once, and both the projection ``u_sigma`` and the
+``A_u - D`` ladder of :func:`verify_au_minus_d` read it; that function reads
+the eigenstructure and the scalar identities of a traveling-wave profile off
+one such decomposition.
 """
 
 from __future__ import annotations
@@ -133,7 +135,11 @@ class SpectralReport:
 
     ``projections`` maps each K-dominant ``sigma`` (including 0 for the
     kernel part) to the projection ``u_sigma`` of ``u`` onto the
-    corresponding eigenspace of ``K_u^2``; summing them reconstructs ``u``.
+    corresponding eigenspace ``F_u(sigma)`` of ``K_u^2``; summing them
+    reconstructs ``u``.  ``bases`` maps each positive K-dominant ``sigma`` to
+    the orthonormal columns spanning ``F_u(sigma)``, the ones ``u_sigma`` is
+    projected onto; :func:`verify_au_minus_d` reads its ladder on them.
+    ``to_json`` leaves them out.
     """
 
     h2_eigs: np.ndarray  # descending, nonnegative
@@ -142,6 +148,7 @@ class SpectralReport:
     rank_K: int
     dominance: tuple[DominanceEntry, ...]
     projections: dict[float, HardyCoefficients]
+    bases: dict[float, np.ndarray]  # K_u^2 eigenvectors, as columns, of each K-dominant sigma
     unresolved: bool
     notes: tuple[str, ...] = field(default_factory=tuple)
 
@@ -177,12 +184,6 @@ def spectral_report(u: HardyCoefficients, tol: float = DEFAULT_RANK_TOL) -> Spec
     max_eig`` set the ``unresolved`` flag (clustered spectrum, labels
     unreliable).
     """
-    return _spectral_report(u, tol)[0]
-
-
-def _spectral_report(u: HardyCoefficients, tol: float) -> tuple[SpectralReport, np.ndarray]:
-    """:func:`spectral_report` plus the ``K_u^2`` eigenvectors (columns), in
-    the order of ``k2_eigs``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     h_eigs = np.linalg.svdvals(hankel(u)) ** 2
@@ -203,31 +204,25 @@ def _spectral_report(u: HardyCoefficients, tol: float) -> tuple[SpectralReport, 
     notes: list[str] = []
     unresolved = False
 
-    # group positive levels of both spectra; values within cluster_gap merge
-    tagged = sorted(
-        [(float(v), "E") for v in h_eigs[:rank_h]] + [(float(v), "F") for v in k_eigs[:rank_k]],
-        reverse=True,
-    )
-    clusters: list[dict] = []
-    for value, tag in tagged:
-        if clusters and clusters[-1]["lo"] - value <= cluster_gap:
-            clusters[-1]["lo"] = value
-            clusters[-1][tag] += 1
-            clusters[-1]["values"].append(value)
-        else:
-            clusters.append({"lo": value, tag: 1, ("F" if tag == "E" else "E"): 0, "values": [value]})
-    for a, b in zip(clusters, clusters[1:]):
-        if min(a["values"]) - max(b["values"]) <= warn_gap:
+    # the positive levels of both spectra, descending, split at gaps > cluster_gap
+    values = np.concatenate([h_eigs[:rank_h], k_eigs[:rank_k]])
+    in_f = np.arange(len(values)) >= rank_h
+    order = np.argsort(-values)
+    values, in_f = values[order], in_f[order]
+    cuts = np.flatnonzero(values[:-1] - values[1:] > cluster_gap) + 1
+    levels = list(zip(np.split(values, cuts), np.split(in_f, cuts))) if len(values) else []
+    for (a, _), (b, _) in zip(levels, levels[1:]):
+        if a[-1] - b[0] <= warn_gap:
             unresolved = True
-            notes.append(
-                f"levels {np.mean(a['values']):.6e} and {np.mean(b['values']):.6e} closer than 10*tol"
-            )
+            notes.append(f"levels {np.mean(a):.6e} and {np.mean(b):.6e} closer than 10*tol")
 
     dominance: list[DominanceEntry] = []
     projections: dict[float, HardyCoefficients] = {}
-    for cl in clusters:
-        sigma2 = float(np.mean(cl["values"]))
-        m_e, m_f = cl["E"], cl["F"]
+    bases: dict[float, np.ndarray] = {}
+    for level, level_in_f in levels:
+        sigma2 = float(np.mean(level))
+        m_f = int(np.sum(level_in_f))
+        m_e = len(level) - m_f
         if m_e == m_f + 1:
             label = "H"
         elif m_f == m_e + 1:
@@ -238,32 +233,33 @@ def _spectral_report(u: HardyCoefficients, tol: float) -> tuple[SpectralReport, 
             notes.append(f"level {sigma2:.6e}: multiplicities E={m_e}, F={m_f} not off by one")
         dominance.append(DominanceEntry(sigma2=sigma2, label=label, dim_E=m_e, dim_F=m_f))
         if label == "K":
-            sel = np.abs(k_eigs[:rank_k] - sigma2) <= max(cluster_gap, 0.5 * warn_gap)
-            basis = k_vecs[:, :rank_k][:, sel]
-            coeffs = basis.conj().T @ uvec
-            proj = basis @ coeffs
+            # F_u(sigma): the kept K^2 eigenvectors within 5 tol of the level
+            basis = k_vecs[:, :rank_k][:, np.abs(k_eigs[:rank_k] - sigma2) <= 5 * tol * scale]
+            proj = basis @ (basis.conj().T @ uvec)
             # dominance requires u not orthogonal to F; corroborate
             if np.linalg.norm(proj) <= np.sqrt(tol) * unorm:
                 unresolved = True
                 notes.append(f"K-dominant level {sigma2:.6e} nearly orthogonal to u")
-            projections[float(np.sqrt(max(sigma2, 0.0)))] = HardyCoefficients(proj)
+            sigma = float(np.sqrt(sigma2))  # sigma2 > thresh >= 0
+            projections[sigma] = HardyCoefficients(proj)
+            bases[sigma] = basis
 
     # kernel component: u minus its projections onto all positive K^2 levels
     pos_basis = k_vecs[:, :rank_k]
     kernel_part = uvec - pos_basis @ (pos_basis.conj().T @ uvec)
     projections[0.0] = HardyCoefficients(kernel_part)
 
-    report = SpectralReport(
+    return SpectralReport(
         h2_eigs=h_eigs,
         k2_eigs=k_eigs,
         rank_H=rank_h,
         rank_K=rank_k,
         dominance=tuple(dominance),
         projections=projections,
+        bases=bases,
         unresolved=unresolved,
         notes=tuple(notes),
     )
-    return report, k_vecs
 
 
 def lax_symbol(u: HardyCoefficients) -> HardyCoefficients:
@@ -372,7 +368,7 @@ def verify_au_minus_d(u: HardyCoefficients, varpi: float, tol: float = 1e-8) -> 
     For constant ``u`` the report degenerates to the empty ladder.
     """
     m = u.trunc
-    report, k_vecs = _spectral_report(u, DEFAULT_RANK_TOL)
+    report = spectral_report(u, DEFAULT_RANK_TOL)
     if report.rank_K == 0:
         return AuDReport(
             n_sigma=0,
@@ -414,10 +410,8 @@ def verify_au_minus_d(u: HardyCoefficients, varpi: float, tol: float = 1e-8) -> 
     zeta = complex(np.vdot(shifted, ku) / np.vdot(shifted, shifted))
     parallel_residual = float(np.linalg.norm(ku - zeta * shifted) / np.linalg.norm(ku))
 
-    # ladder: spectrum of A_u - D restricted to F (eigenspace of K^2 at sigma^2)
-    k_eigs = report.k2_eigs
-    sel = np.abs(k_eigs - top.sigma2) <= 10 * DEFAULT_RANK_TOL * k_eigs[0]
-    basis = k_vecs[:, sel]
+    # ladder: spectrum of A_u - D restricted to F_u(sigma), the columns u_sigma projects onto
+    basis = report.bases[sigma]
     # Hermitian up to round-off; eigvalsh reads its lower triangle
     ladder = np.linalg.eigvalsh(basis.conj().T @ aud @ basis)
     expected = 0.5 * (varpi + 2 - n_sigma) + np.arange(n_sigma)

@@ -12,8 +12,9 @@ import pytest
 from quadszego import acceptance, cli
 from quadszego.cli import build_parser, main
 from quadszego.dynamics import SimulationConfig, integrate
-from quadszego.hardy import HardyCoefficients
+from quadszego.hardy import HardyCoefficients, conserved
 from quadszego.operators import shifted_hankel
+from quadszego.steady import STEADY_TOL
 
 
 def write_state(path, coeffs):
@@ -203,8 +204,34 @@ def test_compose_check_zero_trunc_is_usage_error(capsys):
     assert "trunc must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trunc", ["1", "0", "-3"])
+def test_simulate_profile_small_trunc_is_usage_error(trunc, capsys):
+    # the profile was built before the run config was checked: exit 1 with
+    # check failed [TRUNC_TOO_SMALL], where --state gave exit 2
+    assert main(["simulate", "--family", "I", "--trunc", trunc]) == 2
+    assert "trunc must be >= 2" in capsys.readouterr().err
+
+
 def test_steady_verify_exit_codes():
     assert main(["steady", "--theta", "0.5236", "--verify"]) == 0
+
+
+def test_steady_out_writes_the_verified_state(tmp_path):
+    # --out wrote a state cut to 65536 modes, |J| = 7.5e-8 at theta 0.99,
+    # while --verify passed at 137319; the header recorded only theta
+    out = tmp_path / "steady.json"
+    assert main(["steady", "--theta", "0.99", "--verify", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    u = HardyCoefficients.from_json(payload["state"])
+    assert u.trunc == payload["params"]["trunc"] == 137319
+    assert abs(conserved(u).J) < STEADY_TOL
+
+
+def test_steady_out_past_its_limit_names_trunc(tmp_path, capsys):
+    out = tmp_path / "steady.json"
+    assert main(["steady", "--theta", "1.03", "--out", str(out)]) == 2
+    assert "--trunc" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("trunc", ["0", "-3"])

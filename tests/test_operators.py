@@ -305,6 +305,37 @@ def test_unresolved_flag_on_clustered_levels():
     assert coarse.unresolved
 
 
+def _reference_levels(h_eigs, k_eigs, rank_h, rank_k, tol):
+    """The levels as one descending pass merges them: ``(sigma2, dim_E, dim_F)``
+    per level and the adjacent-level warnings."""
+    scale = h_eigs[0]
+    tagged = sorted(
+        [(float(v), "E") for v in h_eigs[:rank_h]] + [(float(v), "F") for v in k_eigs[:rank_k]], reverse=True
+    )
+    clusters = []
+    for value, tag in tagged:
+        if clusters and clusters[-1]["values"][-1] - value <= tol * scale:
+            clusters[-1][tag] += 1
+            clusters[-1]["values"].append(value)
+        else:
+            clusters.append({"E": int(tag == "E"), "F": int(tag == "F"), "values": [value]})
+    warned = [min(a["values"]) - max(b["values"]) <= 10 * tol * scale for a, b in zip(clusters, clusters[1:])]
+    return [(float(np.mean(c["values"])), c["E"], c["F"]) for c in clusters], warned
+
+
+def test_levels_match_a_one_pass_merge():
+    rng = np.random.default_rng(8)
+    q = 0.5
+    clustered = HardyCoefficients((1 + 1e-3) * q ** np.arange(64) + (-q + 0j) ** np.arange(64))
+    cases = [(random_state(rng, m=16), 1e-10) for _ in range(4)]
+    cases += [(multi_pole(3, 0.4, 128), 1e-10), (clustered, 1e-10), (clustered, 4.2e-5), (clustered, 1e-2)]
+    for u, tol in cases:
+        rep = spectral_report(u, tol=tol)
+        levels, warned = _reference_levels(rep.h2_eigs, rep.k2_eigs, rep.rank_H, rep.rank_K, tol)
+        assert [(d.sigma2, d.dim_E, d.dim_F) for d in rep.dominance] == levels
+        assert sum("closer than 10*tol" in note for note in rep.notes) == sum(warned)
+
+
 def test_spectral_report_rejects_bad_tol():
     with pytest.raises(ValueError):
         spectral_report(HardyCoefficients([1.0, 0.0]), tol=0.0)
@@ -380,6 +411,35 @@ def test_au_minus_d_two_pole_family():
     # ladder of simple consecutive eigenvalues ending at (varpi + n)/2
     assert rep.ladder_residual < 1e-9
     assert rep.ladder[0] == pytest.approx((varpi + 2 - 2) / 2, abs=1e-9)
+
+
+def test_au_minus_d_reads_one_eigenspace():
+    # two nearly equal K^2 levels: the report projected onto one column while
+    # the ladder, on a wider window, read two (ladder of length 2, residual inf);
+    # tol only lets this non-profile through to the ladder
+    delta = 2.4602398208697776e-10
+    k = np.arange(64)
+    coeffs = (1 + delta) * 0.5**k + (-0.5 + 0j) ** k
+    coeffs[0] = 0.0
+    u = HardyCoefficients(coeffs)
+    top = next(d for d in spectral_report(u).dominance if d.label == "K")
+    assert top.dim_F == 1
+    rep = verify_au_minus_d(u, 3.0, tol=1e9)
+    assert len(rep.ladder) == rep.n_sigma == 1
+    assert np.isfinite(rep.ladder_residual)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ladder_is_read_on_the_reports_basis(n):
+    # criterion 6's profiles: the ladder is A_u - D on the columns the
+    # report projected u onto, float for float
+    alpha = 0.4
+    u = multi_pole(n, alpha, 512)
+    rep = verify_au_minus_d(u, n * (3 - alpha**2) / (1 - alpha**2))
+    basis = spectral_report(u).bases[rep.sigma]
+    assert basis.shape == (512, n)
+    aud = a_u(u) - np.diag(np.arange(512, dtype=np.complex128))
+    assert rep.ladder == tuple(np.sort(np.linalg.eigvalsh(basis.conj().T @ aud @ basis)))
 
 
 def test_au_minus_d_constant_degenerates():

@@ -5,6 +5,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 import quadszego
 
 SRC = Path(quadszego.__file__).resolve().parent
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 MODULES = [quadszego] + [
     importlib.import_module(f"quadszego.{info.name}") for info in pkgutil.iter_modules(quadszego.__path__)
 ]
@@ -63,3 +65,11 @@ def test_plain_pytest_finds_the_package():
     argv = [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", "tests/test_public_surface.py"]
     out = subprocess.run(argv, cwd=Path(__file__).resolve().parents[1], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    # the demos read the public surface (SpectralReport.dominance and
+    # .projections among it); a RuntimeWarning fails here as in any test
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out
