@@ -110,6 +110,11 @@ def tw_grid(quick: bool = False) -> list[tuple]:
     return [(family, lam, p, n) for family in ("I", "II") for lam in lams for p in ps for n in ns]
 
 
+def steady_grid(quick: bool = False) -> np.ndarray:
+    """Criterion 10's theta grid over the equilibrium family, ``[0, pi/3)``."""
+    return np.linspace(0.0, np.pi / 3.0, 12 if quick else 50, endpoint=False)
+
+
 def tw_residual(job) -> dict:
     """Traveling-wave residual of one grid point, at 1024 modes for |p| >= 0.8, else 256."""
     family, lam, p, n = job
@@ -357,8 +362,7 @@ def criterion_9_v3_consistency(quick: bool = False):
 @_criterion("10 steady family grid")
 def criterion_10_steady_family(quick: bool = False):
     """50-point theta grid of the equilibrium family plus the explicit example."""
-    n_grid = 12 if quick else 50
-    thetas = np.linspace(0.0, np.pi / 3.0, n_grid, endpoint=False)
+    thetas = steady_grid(quick)
     worst_j = worst_rhs = 0.0
     for th in thetas:
         meas = steadiness_measure(SteadyV3Params(scale=1.0, a=0.0, b_angle=0.0, theta=float(th)))
@@ -367,7 +371,7 @@ def criterion_10_steady_family(quick: bool = False):
     ex = explicit_example(512)
     ex_j = abs(conserved(ex).J)
     passed = worst_j < STEADY_TOL and worst_rhs < STEADY_TOL and ex_j < 1e-13
-    return passed, {"worst_abs_J": worst_j, "worst_rhs_norm": worst_rhs, "example_abs_J": ex_j, "grid": n_grid}
+    return passed, {"worst_abs_J": worst_j, "worst_rhs_norm": worst_rhs, "example_abs_J": ex_j, "grid": len(thetas)}
 
 
 @_criterion("11 composition invariance")

@@ -154,16 +154,13 @@ def _cmd_steady(args) -> int:
             f"steady --out writes at most {_STEADY_OUT_MAX} modes and theta={params.theta} takes {trunc}; "
             "pass a smaller --trunc"
         )
-    status = 0
-    if args.verify or not args.out:
-        meas = steadiness_measure(params, trunc=trunc)
-        print(f"theta={params.theta:.6f} trunc={meas.trunc} |J|={meas.abs_j:.3e} rhs_norm={meas.rhs_norm:.3e}")
-        status = 0 if (meas.abs_j < STEADY_TOL and meas.rhs_norm < STEADY_TOL) else 1
+    meas = steadiness_measure(params, trunc=trunc)
+    print(f"theta={params.theta:.6f} trunc={meas.trunc} |J|={meas.abs_j:.3e} rhs_norm={meas.rhs_norm:.3e}")
     if args.out:
         header = _header(args, theta=params.theta, scale=params.scale, a=params.a, b=params.b_angle, trunc=trunc)
         _write_artifact(args.out, {**header, "state": build_steady(params, trunc).to_json()})
         print(f"wrote {args.out}")
-    return status
+    return 0 if (meas.abs_j < STEADY_TOL and meas.rhs_norm < STEADY_TOL) else 1
 
 
 # ----------------------------------------------------------------- compose
@@ -310,13 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = inspect.signature(instability_experiment).parameters  # eps0, dt, t_final
     p.set_defaults(func=_cmd_instability, **{k: v.default for k, v in defaults.items() if v.default is not v.empty})
 
-    p = sub.add_parser("steady", help="build/verify an equilibrium family member")
+    p = sub.add_parser("steady", help="measure an equilibrium family member; --out writes it")
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=0.0)
     p.add_argument("--trunc", type=int)
-    p.add_argument("--verify", action="store_true")
     _add_common(p)
     p.set_defaults(func=_cmd_steady)
 

@@ -301,7 +301,7 @@ def rank_conservation_check(traj: TrajectoryRecord, d: int, tol: float = 1e-8) -
     rule, so that snapshot reads the dense values of ``H``.  Where either
     count is open, the snapshot takes every singular value of ``H`` and of
     ``K`` (not cached, so ``k2_spectra`` does not depend on which is read
-    first) and counts exactly; the decisions are those of the dense route.
+    first) and counts them by the same rule at ``r = 0``: the dense route.
     A wrong H count stops the check before K's values of that snapshot are
     read, and a check that fails at snapshot ``i`` has sketched snapshots
     ``0..i`` only.
@@ -324,11 +324,11 @@ def rank_conservation_check(traj: TrajectoryRecord, d: int, tol: float = 1e-8) -
         rank_k = _certified_count(s_k, r_k, scales, tol)
         if rank_h is None or rank_k is None:
             # r = 0: the cached values are already dense
-            h_eigs = (np.linalg.svdvals(hankel(state)) if r else s) ** 2
-            k_eigs = (np.linalg.svdvals(shifted_hankel(state)) if r_k else s_k) ** 2
-            scale = max(h_eigs[0], 1e-300)
-            rank_h = int(np.sum(h_eigs > tol * scale))
-            rank_k = int(np.sum(k_eigs > tol * scale))
+            h = np.linalg.svdvals(hankel(state)) if r else s
+            k = np.linalg.svdvals(shifted_hankel(state)) if r_k else s_k
+            scale = max(h[0] * h[0], 1e-300)
+            rank_h = _certified_count(h, 0.0, (scale, scale), tol)
+            rank_k = _certified_count(k, 0.0, (scale, scale), tol)
         if (rank_h, rank_k) != (want_h, want_k):
             return False
     return True

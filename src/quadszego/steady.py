@@ -53,7 +53,7 @@ __all__ = [
     "STEADY_TOL",
 ]
 
-# the equilibrium gate on |J| and the flow norm: criterion 10, `szego steady --verify`, is_steady
+# the equilibrium gate on |J| and the flow norm: criterion 10, `szego steady`, is_steady
 STEADY_TOL = 1e-11
 
 # suggested_trunc's target for the neglected tail of |J|, and its largest truncation
@@ -186,7 +186,9 @@ class SteadinessMeasure:
     abs_j: float
     rhs_norm: float
     trunc: int
-    extended: bool = True  # always True; artifacts and the benchmark's counters read it
+    # always True; only the benchmark's steady warm-up passes extended=True and its traced
+    # counter reads this field: both stay until the benchmark refresh (ROADMAP item 5)
+    extended: bool = True
 
 
 def steadiness_measure(

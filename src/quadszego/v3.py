@@ -102,13 +102,24 @@ def _qmj(b: complex, c: complex, p: complex):
     return q, mom, j
 
 
+def _chart(b, c, p):
+    """``(x, psi)`` of scalar or array states, elementwise.  Squares are products and
+    ``b conj(c) p`` is expanded in reals: numpy's ``** 2`` and complex product may round
+    a 0-d array differently from a longer one, and the recorder must match :func:`derived`."""
+    abs_c, abs_p = np.abs(c), np.abs(p)
+    denom = 1.0 - abs_p * abs_p
+    x = abs_c * np.sqrt(abs_c * abs_c / (denom * denom))
+    re = b.real * c.real + b.imag * c.imag  # b conj(c)
+    im = b.imag * c.real - b.real * c.imag
+    re, im = re * p.real - im * p.imag, re * p.imag + im * p.real
+    return x, np.where((re != 0) | (im != 0), np.arctan2(im, re), 0.0)
+
+
 def derived(s: V3State) -> V3Derived:
     q, mom, j = _qmj(s.b, s.c, s.p)
-    x = abs(s.c) * math.sqrt(mom)
-    bcp = s.b * s.c.conjugate() * s.p
-    psi = cmath.phase(bcp) if bcp != 0 else 0.0
+    x, psi = _chart(s.b, s.c, s.p)
     # a product, not Python float **: a huge state gives Ecal = inf, not OverflowError
-    return V3Derived(Q=q, M=mom, J=j, x=x, psi=psi, Ecal=abs(j) * abs(j))
+    return V3Derived(Q=q, M=mom, J=j, x=float(x), psi=float(psi), Ecal=abs(j) * abs(j))
 
 
 def energy_closed_form(q: float, mom: float, x: float, psi: float) -> float:
@@ -211,10 +222,7 @@ def v3_integrate(
         nonlocal end, done
         times[idx] = idx * h
         b, c, p = ys
-        abs_c = np.abs(c)
-        x = abs_c * np.sqrt(abs_c**2 / (1.0 - np.abs(p) ** 2) ** 2)
-        bcp = b * np.conj(c) * p
-        psi = np.where(bcp != 0, np.angle(bcp), 0.0)
+        x, psi = _chart(b, c, p)
         if stop_when is not None:
             hits = np.flatnonzero(stop_when(times[idx], x, psi))
             if hits.size:

@@ -212,15 +212,33 @@ def test_simulate_profile_small_trunc_is_usage_error(trunc, capsys):
     assert "trunc must be >= 2" in capsys.readouterr().err
 
 
-def test_steady_verify_exit_codes():
-    assert main(["steady", "--theta", "0.5236", "--verify"]) == 0
+def test_steady_verify_exit_codes(tmp_path):
+    assert main(["steady", "--theta", "0.5236"]) == 0
+    out = tmp_path / "steady.json"
+    assert main(["steady", "--theta", "0.5236", "--out", str(out)]) == 0
+    assert abs(conserved(HardyCoefficients.from_json(json.loads(out.read_text())["state"])).J) < STEADY_TOL
+
+
+def test_steady_out_of_an_unsteady_state_exits_one(tmp_path, capsys):
+    # without --verify, --out skipped the measurement and exited 0 on this state
+    out = tmp_path / "steady.json"
+    assert main(["steady", "--theta", "1.03", "--trunc", "2000", "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    u = HardyCoefficients.from_json(json.loads(out.read_text())["state"])
+    assert "|J|=9.706e-01" in printed
+    assert f"|J|={abs(conserved(u).J):.3e}" in printed
+
+
+def test_steady_verify_flag_is_usage_error():
+    # measuring is always on, so the flag that asked for it is gone
+    assert exit_code(["steady", "--theta", "0.5236", "--verify"]) == 2
 
 
 def test_steady_out_writes_the_verified_state(tmp_path):
     # --out wrote a state cut to 65536 modes, |J| = 7.5e-8 at theta 0.99,
-    # while --verify passed at 137319; the header recorded only theta
+    # while the measurement passed at 137319; the header recorded only theta
     out = tmp_path / "steady.json"
-    assert main(["steady", "--theta", "0.99", "--verify", "--out", str(out)]) == 0
+    assert main(["steady", "--theta", "0.99", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     u = HardyCoefficients.from_json(payload["state"])
     assert u.trunc == payload["params"]["trunc"] == 137319
@@ -235,7 +253,7 @@ def test_steady_out_past_its_limit_names_trunc(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("trunc", ["0", "-3"])
-@pytest.mark.parametrize("mode", [["--verify"], ["--out", "steady.json"]])
+@pytest.mark.parametrize("mode", [[], ["--out", "steady.json"]])
 def test_steady_nonpositive_trunc_is_usage_error(trunc, mode, tmp_path, monkeypatch, capsys):
     # --trunc 0 died with IndexError (exit 1); -3 exited 2 only through
     # numpy's "negative dimensions" message

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from quadszego.acceptance import steady_grid
 from quadszego.cli import main
 from quadszego.dynamics import rhs
 from quadszego.hardy import HardyCoefficients, conserved, j_and_flow, quadratic_products
@@ -86,7 +87,7 @@ def test_steadiness_invariant_under_symmetries():
 def test_theta_grid_subset():
     # near the endpoint the family map is badly conditioned in the constants;
     # build_steady takes them from 40 digits at every truncation
-    for theta in np.linspace(0, np.pi / 3, 50, endpoint=False)[[0, 13, 29, 41, 47]]:
+    for theta in STEADY_GRID[[0, 13, 29, 41, 47]]:
         meas = steadiness_measure(SteadyV3Params(scale=1.0, a=0.0, b_angle=0.0, theta=float(theta)))
         assert meas.abs_j < 1e-11, theta
         assert meas.rhs_norm < 1e-11, theta
@@ -95,7 +96,7 @@ def test_theta_grid_subset():
 needs_float128 = pytest.mark.skipif(not hasattr(np, "float128"), reason="numpy has no float128 here")
 
 # criterion 10's grid; its last three points need more than 50k modes
-STEADY_GRID = np.linspace(0, np.pi / 3, 50, endpoint=False)
+STEADY_GRID = steady_grid()
 
 
 def _family_constants_ld(theta: float):
@@ -188,7 +189,7 @@ def test_steady_runs_without_float128(monkeypatch):
     for theta in STEADY_GRID[[45, 47, 48, 49]]:
         meas = steadiness_measure(SteadyV3Params(scale=1.0, a=0.0, b_angle=0.0, theta=float(theta)))
         assert meas.abs_j < STEADY_TOL and meas.rhs_norm < STEADY_TOL, theta
-    assert main(["steady", "--theta", "1.0262536001726656", "--verify"]) == 0
+    assert main(["steady", "--theta", "1.0262536001726656"]) == 0
 
 
 def test_suggested_trunc_monotone_and_capped():
